@@ -48,6 +48,14 @@ std::size_t parse_count(const std::string& text, const std::string& flag) {
   return value;
 }
 
+int parse_port(const std::string& text, const std::string& flag) {
+  std::size_t value = 0;
+  if (!to_count(text, value) || value > 65535) {
+    throw ParseError(flag + " must be a port number in [0, 65535] (got '" + text + "')");
+  }
+  return static_cast<int>(value);
+}
+
 double parse_nonnegative_real(const std::string& text, const std::string& flag) {
   double value = 0.0;
   if (!to_double(text, value) || value < 0.0) {

@@ -26,6 +26,9 @@ double parse_nonnegative_seconds(const std::string& text, const std::string& fla
 /// Integer >= 0 (--max-inflight, where 0 means unbounded).
 std::size_t parse_count(const std::string& text, const std::string& flag);
 
+/// TCP port in [0, 65535] (--telemetry-port, where 0 means ephemeral).
+int parse_port(const std::string& text, const std::string& flag);
+
 /// Real number >= 0 (--retry-timeout, where 0 disables the multiplier).
 double parse_nonnegative_real(const std::string& text, const std::string& flag);
 

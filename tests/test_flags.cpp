@@ -38,6 +38,17 @@ TEST(Flags, PositiveCountRejectsZeroNegativeAndGarbage) {
   }
 }
 
+TEST(Flags, PortAcceptsZeroThroughTheTopOfTheRange) {
+  EXPECT_EQ(parse_port("0", "--telemetry-port"), 0);
+  EXPECT_EQ(parse_port("9464", "--telemetry-port"), 9464);
+  EXPECT_EQ(parse_port("65535", "--telemetry-port"), 65535);
+  for (const char* bad : {"65536", "-1", "abc", "", "80x", "8.5"}) {
+    const std::string what = parse_error_of([&] { parse_port(bad, "--telemetry-port"); });
+    EXPECT_NE(what.find("--telemetry-port"), std::string::npos) << bad;
+    EXPECT_NE(what.find(bad), std::string::npos) << bad;
+  }
+}
+
 TEST(Flags, ProbabilityAcceptsTheClosedUnitInterval) {
   EXPECT_DOUBLE_EQ(parse_probability("0", "--se-loss"), 0.0);
   EXPECT_DOUBLE_EQ(parse_probability("0.25", "--se-loss"), 0.25);

@@ -16,6 +16,7 @@
 #include "enactor/sim_backend.hpp"
 #include "grid/ce_health.hpp"
 #include "grid/grid.hpp"
+#include "obs/event.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
@@ -306,10 +307,10 @@ TEST(Retry, BackoffDelaysResubmission) {
 }
 
 // ---------------------------------------------------------------------------
-// Progress events and manifest round-trip
+// Run events and manifest round-trip
 // ---------------------------------------------------------------------------
 
-TEST(Retry, ProgressEventsCarryAttemptNumbers) {
+TEST(Retry, RunEventsCarryAttemptNumbers) {
   const std::size_t kItems = 12;
   FaultyRig rig(/*failure_probability=*/0.3);
   register_chain_services(rig.registry);
@@ -318,18 +319,18 @@ TEST(Retry, ProgressEventsCarryAttemptNumbers) {
   policy.retry = RetryPolicy::resubmit(5);
 
   Enactor enactor(rig.backend, rig.registry, policy);
-  std::map<ProgressEvent::Kind, std::size_t> counts;
+  std::map<obs::RunEvent::Kind, std::size_t> counts;
   std::size_t max_attempt = 0;
-  enactor.add_event_subscriber(progress_subscriber([&](const ProgressEvent& event) {
+  enactor.add_event_subscriber([&](const obs::RunEvent& event) {
     ++counts[event.kind];
     max_attempt = std::max(max_attempt, event.attempt);
-  }));
+  });
   const auto result = enactor.run({.workflow = chain2(), .inputs = items("src", kItems)});
 
   EXPECT_EQ(result.failures(), 0u);
-  EXPECT_EQ(counts[ProgressEvent::Kind::kSubmitted], result.submissions());
-  EXPECT_EQ(counts[ProgressEvent::Kind::kRetried], result.retries());
-  EXPECT_EQ(counts[ProgressEvent::Kind::kTimedOut], result.timeouts());
+  EXPECT_EQ(counts[obs::RunEvent::Kind::kAttemptStarted], result.submissions());
+  EXPECT_EQ(counts[obs::RunEvent::Kind::kRetryScheduled], result.retries());
+  EXPECT_EQ(counts[obs::RunEvent::Kind::kWatchdogFired], result.timeouts());
   EXPECT_GT(result.retries(), 0u);
   EXPECT_GT(max_attempt, 1u);  // some event observed a resubmission
 }

@@ -1,26 +1,21 @@
-// moteur_cli — drive the MOTEUR enactor from XML documents, no code needed.
-//
-//   moteur_cli run --workflow wf.xml --data ds.xml --services catalog.xml
-//              [--policy SP+DP] [--grid egee2006|cluster|constant]
-//              [--seed N] [--overhead SECONDS] [--batch K] [--adaptive]
-//              [--provenance out.xml] [--trace] [--diagram SECONDS_PER_COL]
-//   moteur_cli run --manifest run.xml [--services catalog.xml] [...]
-//   moteur_cli save-manifest --workflow wf.xml --data ds.xml [--policy ...]
-//              --out run.xml
-//   moteur_cli validate --workflow wf.xml        structural + static analysis
-//   moteur_cli model --nw N --nd M [--t SECONDS]  §3.5 predictions
+// moteur_cli — drive the MOTEUR enactor from XML documents, no code needed:
+// run, save-manifest, validate, model (§3.5 predictions) and export-bronze.
+// Every flag is one row of kFlags: its name, value, help line, the commands
+// that take it, and how its value is checked and stored. The parser and each
+// command's usage text (run with no arguments to see it) come from the table.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on run failures.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "app/bronze_standard.hpp"
@@ -33,14 +28,14 @@
 #include "enactor/sim_backend.hpp"
 #include "enactor/timeline_csv.hpp"
 #include "grid/grid.hpp"
+#include "model/dag.hpp"
+#include "model/makespan.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "policy/registry.hpp"
 #include "service/run_service.hpp"
-#include "model/dag.hpp"
-#include "model/makespan.hpp"
 #include "services/catalog.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
@@ -53,54 +48,20 @@
 namespace {
 
 using namespace moteur;
+using namespace std::string_literals;
+using Text = const std::string&;
+using Manifest = enactor::RunManifest;
+using Policy = enactor::EnactmentPolicy;
+using GridConfig = grid::GridConfig;
+using Registry = policy::PolicyRegistry;
+using enactor::parse_failure_policy;
+using service::parse_pin_policy;
 
-[[noreturn]] void usage(const std::string& message = "") {
-  if (!message.empty()) std::fprintf(stderr, "error: %s\n\n", message.c_str());
-  std::fputs(
-      "usage:\n"
-      "  moteur_cli run --workflow WF.xml --data DS.xml --services CAT.xml\n"
-      "             [--policy NOP|JG|SP|DP|SP+DP|SP+DP+JG] [--grid PRESET]\n"
-      "             [--seed N] [--overhead S] [--batch K] [--adaptive]\n"
-      "             [--retries N] [--retry-timeout MULT] [--retry-backoff S]\n"
-      "             [--inject-failures P] [--inject-stuck P] [--grid-attempts N]\n"
-      "             [--se-outage SE:START:DUR[,...]] [--se-loss P] [--se-corrupt P]\n"
-      "             [--no-recovery] [--recovery-depth N]\n"
-      "             [--failure-policy failfast|continue] [--failure-report OUT.json]\n"
-      "             [--breaker-window N] [--breaker-threshold N] [--breaker-cooldown S]\n"
-      "             [--cache] [--data-aware] [--cache-stats-out STATS.json]\n"
-      "             [--matchmaking queue-rank|data-gravity|locality-first|k-choices]\n"
-      "             [--placement rematch|avoid-previous|spread]\n"
-      "             [--replica-policy close-se|broadcast]\n"
-      "             [--admission-policy weighted|round-robin]\n"
-      "             [--replication-policy none|push-to-consumer|fanout-k]\n"
-      "             [--orchestrator-bw MBPS] [--se-capacity MB]\n"
-      "             [--eviction-policy lru|pin-sources]\n"
-      "             [--provenance OUT.xml] [--csv OUT.csv] [--trace]\n"
-      "             [--diagram COLSECONDS] [--trace-out TRACE.json]\n"
-      "             [--metrics-out METRICS.prom] [--obs-summary]\n"
-      "  moteur_cli run --manifest RUN.xml [--services CAT.xml] [...]\n"
-      "  moteur_cli run ... [--runs N] [--manifests A.xml,B.xml,...]\n"
-      "             [--max-active N] [--max-inflight N]\n"
-      "             [--shards N] [--pin-policy hash|least-loaded]\n"
-      "             (multi-tenant: N copies and/or one run per listed manifest\n"
-      "              enacted concurrently on one shared grid; per-run outputs\n"
-      "              get a .run<K> suffix, e.g. out.csv -> out.run1.csv)\n"
-      "  moteur_cli run ... [--telemetry-out FRAMES.jsonl] [--telemetry-port P]\n"
-      "             [--telemetry-interval S] [--telemetry-linger S]\n"
-      "             [--flight-recorder PREFIX] [--critical-path OUT.json]\n"
-      "             (live telemetry: JSONL frames each interval, Prometheus\n"
-      "              scrape endpoint on 127.0.0.1:P (0 = ephemeral, the bound\n"
-      "              port is printed), flight-recorder dumps to\n"
-      "              PREFIX<run-id>.json on failure/cancellation, and a\n"
-      "              per-run critical-path report)\n"
-      "  moteur_cli save-manifest --workflow WF.xml --data DS.xml --out RUN.xml\n"
-      "             [--policy P] [--grid PRESET] [--seed N] [--overhead S]\n"
-      "  moteur_cli validate --workflow WF.xml\n"
-      "  moteur_cli model --nw N --nd M [--t SECONDS]\n"
-      "  moteur_cli export-bronze --dir DIR [--pairs N]\n",
-      stderr);
-  std::exit(1);
-}
+/// A command-line mistake: unknown flag, missing or malformed value, missing
+/// required flag. main() prints it with the command's usage and exits 1.
+struct UsageError : Error {
+  using Error::Error;
+};
 
 std::string read_file(const std::string& path) {
   std::ifstream input(path);
@@ -116,131 +77,331 @@ void write_file(const std::string& path, const std::string& content) {
   output << content;
 }
 
-/// Minimal flag parser: --key value (or boolean --key).
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) usage("unexpected argument '" + key + "'");
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
+Text required(Text value, const char* flag) {
+  if (value.empty()) throw UsageError(std::string("missing ") + flag);
+  return value;
+}
 
-  std::optional<std::string> get(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? std::nullopt : std::optional<std::string>(it->second);
-  }
-  std::string require(const std::string& key) const {
-    const auto value = get(key);
-    if (!value || value->empty()) usage("missing --" + key);
-    return *value;
-  }
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
+struct Flag;
+using Given = std::map<const Flag*, std::string>;  // flag values by table row
 
- private:
-  std::map<std::string, std::string> values_;
+/// What one command line asks for. Run overrides and grid knobs are checked
+/// when parsed, then applied from `given` once the manifests are loaded.
+struct Options {
+  Given given;
+  std::string manifest, workflow, data, services, out, dot, dir;
+  std::vector<std::string> manifests;
+  bool multi = false;  // a kMulti flag was given: enact through the RunService
+  std::size_t runs = 1;
+  service::RunServiceConfig service;
+  double linger_seconds = 0.0;
+  std::string csv, provenance, failure_report, trace_out, metrics_out, cache_stats_out,
+      critical_path;
+  bool trace = false, obs_summary = false;
+  std::optional<double> diagram;  // seconds per column; 0 = auto scale
+  std::optional<std::size_t> nd;
+  std::size_t nw = 0, pairs = 12;
+  double t = 1.0;
 };
 
-enactor::RunManifest manifest_from_args(const Args& args) {
-  enactor::RunManifest manifest;
-  if (const auto path = args.get("manifest")) {
-    manifest = enactor::RunManifest::from_xml(read_file(*path));
+/// A flag's value as its row sees it: the text, the flag's name, and the
+/// util/flags parsers and PolicyRegistry checks bound to both.
+struct Value {
+  Text text, flag;
+  std::size_t count() const { return parse_count(text, flag); }
+  std::size_t positive_count() const { return parse_positive_count(text, flag); }
+  double probability() const { return parse_probability(text, flag); }
+  double nonnegative_real() const { return parse_nonnegative_real(text, flag); }
+  double positive_seconds() const { return parse_positive_seconds(text, flag); }
+  double nonnegative_seconds() const { return parse_nonnegative_seconds(text, flag); }
+  int port() const { return parse_port(text, flag); }
+  template <class Check>  // &Registry::check_matchmaking, ...
+  std::string policy(Check c) const { return (Registry::instance().*c)(text, flag); }
+};
+
+/// The run's circuit breakers, switched on: any breaker knob switches them on.
+grid::BreakerPolicy& breaker(Policy& p) {
+  p.breaker.enabled = true;
+  return p.breaker;
+}
+
+enum Command : unsigned { kRun = 1, kSave = 2, kValidate = 4, kModel = 8, kExport = 16 };
+constexpr unsigned kRunSave = kRun | kSave;
+/// A run flag only the RunService honours: any one of them routes the run there.
+constexpr unsigned kMulti = kRun | 32;
+
+/// One row of kFlags. `set` is where the value goes: a string field of
+/// Options, or a setter that checks it and writes it into Options, into every
+/// run manifest or its policy, or into the grid config.
+struct Flag {
+  const char* name;
+  const char* value;  // usage placeholder; nullptr = boolean, "[...]" = optional value
+  const char* help;
+  unsigned commands;  // Command bits
+  std::variant<std::string Options::*, void (*)(Options&, Value),
+               void (*)(Manifest&, Value), void (*)(Policy&, Value),
+               void (*)(GridConfig&, Value)>
+      set;
+};
+
+// Manifest rows apply before policy rows (--policy replaces the whole
+// policy), and each kind in table order, whatever the argv order.
+const Flag kFlags[] = {
+    {"manifest", "RUN.xml", "run manifest", kRunSave, &Options::manifest},
+    {"manifests", "A.xml,B.xml,...", "one concurrent run per listed manifest", kMulti,
+     [](Options& o, Value v) { o.manifests = split(v.text, ','); }},
+    {"workflow", "WF.xml", "Scufl workflow", kRunSave | kValidate, &Options::workflow},
+    {"data", "DS.xml", "input data set", kRunSave, &Options::data},
+    {"services", "CAT.xml", "service catalog", kRun | kValidate, &Options::services},
+    // Run overrides, applied to every manifest of the run.
+    {"policy", "NAME", "NOP|JG|SP|DP|SP+DP|SP+DP+JG", kRunSave,
+     [](Manifest& m, Value v) { m.policy = Policy::parse(v.text); }},
+    {"grid", "PRESET", "egee2006|cluster|constant", kRunSave,
+     [](Manifest& m, Value v) { m.grid_preset = v.text; }},
+    {"seed", "N", "simulation seed", kRunSave,
+     [](Manifest& m, Value v) { m.seed = v.count(); }},
+    {"overhead", "SECONDS", "per-job overhead of the constant grid", kRunSave,
+     [](Manifest& m, Value v) { m.constant_overhead_seconds = v.nonnegative_seconds(); }},
+    {"batch", "K", "data tuples per grouped job", kRunSave,
+     [](Policy& p, Value v) { p.batch_size = v.positive_count(); }},
+    {"adaptive", nullptr, "batch size from the overhead/compute ratio", kRunSave,
+     [](Policy& p, Value) { p.adaptive_batching = true; }},
+    {"retries", "N", "enactor-level attempts per invocation", kRunSave,
+     [](Policy& p, Value v) { p.retry.max_attempts = v.positive_count(); }},
+    {"retry-timeout", "MULT", "watchdog deadline, x median latency (0 = off)", kRunSave,
+     [](Policy& p, Value v) { p.retry.timeout_multiplier = v.nonnegative_real(); }},
+    {"retry-backoff", "SECONDS", "initial resubmission backoff", kRunSave,
+     [](Policy& p, Value v) {
+       p.retry.backoff_initial_seconds = v.nonnegative_seconds();
+     }},
+    {"failure-policy", "NAME", "failfast|continue (with partial results)", kRunSave,
+     [](Policy& p, Value v) { p.failure_policy = parse_failure_policy(v.text); }},
+    {"breaker", nullptr, "per-CE circuit breakers", kRunSave,
+     [](Policy& p, Value) { breaker(p); }},
+    {"breaker-window", "N", "outcomes a breaker remembers", kRunSave,
+     [](Policy& p, Value v) { breaker(p).window = v.positive_count(); }},
+    {"breaker-threshold", "N", "failures in the window that open a breaker", kRunSave,
+     [](Policy& p, Value v) { breaker(p).threshold = v.positive_count(); }},
+    {"breaker-cooldown", "SECONDS", "open time before a half-open probe", kRunSave,
+     [](Policy& p, Value v) { breaker(p).cooldown_seconds = v.positive_seconds(); }},
+    {"cache", nullptr, "memoize invocations", kRunSave,
+     [](Policy& p, Value) { p.cache = true; }},
+    {"data-aware", nullptr, "rank CEs by stage-in cost", kRunSave,
+     [](Policy& p, Value) { p.data_aware = true; }},
+    {"matchmaking", "NAME", "queue-rank|data-gravity|locality-first|k-choices", kRunSave,
+     [](Policy& p, Value v) { p.matchmaking = v.policy(&Registry::check_matchmaking); }},
+    {"placement", "NAME", "rematch|avoid-previous|spread", kRunSave,
+     [](Policy& p, Value v) { p.placement = v.policy(&Registry::check_placement); }},
+    {"replica-policy", "NAME", "close-se|broadcast", kRunSave,
+     [](Policy& p, Value v) { p.replica_policy = v.policy(&Registry::check_replica); }},
+    {"admission-policy", "NAME", "weighted|round-robin", kRunSave,
+     [](Policy& p, Value v) { p.admission = v.policy(&Registry::check_admission); }},
+    {"replication-policy", "NAME", "none|push-to-consumer|fanout-k", kRunSave,
+     [](Policy& p, Value v) { p.replication = v.policy(&Registry::check_replication); }},
+    {"orchestrator-bw", "MBPS", "orchestrator link bandwidth (0 = unlimited)", kRunSave,
+     [](Manifest& m, Value v) { m.orchestrator_bandwidth_mbps = v.nonnegative_real(); }},
+    {"no-recovery", nullptr, "turn lineage recovery of lost files off", kRunSave,
+     [](Policy& p, Value) { p.lineage_recovery = false; }},
+    {"recovery-depth", "N", "lineage re-derivation depth limit", kRunSave,
+     [](Policy& p, Value v) { p.max_recovery_depth = v.positive_count(); }},
+    {"shards", "N", "engine shards of the RunService", kRunSave,
+     [](Manifest& m, Value v) { m.shards = v.positive_count(); }},
+    {"pin-policy", "NAME", "hash|least-loaded (run-to-shard pinning)", kRunSave,
+     [](Manifest& m, Value v) { m.pin_policy = to_string(parse_pin_policy(v.text)); }},
+    {"inject-failures", "P", "per-attempt job failure probability", kRun,
+     [](GridConfig& g, Value v) { g.failure_probability = v.probability(); }},
+    {"inject-stuck", "P", "per-attempt stuck-job probability", kRun,
+     [](GridConfig& g, Value v) { g.stuck_job_probability = v.probability(); }},
+    {"grid-attempts", "N", "grid-level attempts per job", kRun,
+     [](GridConfig& g, Value v) { g.max_attempts = v.positive_count(); }},
+    {"se-loss", "P", "replica loss probability", kRun,
+     [](GridConfig& g, Value v) { g.replica_loss_probability = v.probability(); }},
+    {"se-corrupt", "P", "replica corruption probability", kRun,
+     [](GridConfig& g, Value v) { g.replica_corruption_probability = v.probability(); }},
+    // The CLI's grid presets declare no SEs beyond the default one, se0.
+    {"se-outage", "SE:START:DUR[,...]", "se0 downtime windows", kRun,
+     [](GridConfig& g, Value v) {
+       for (const auto& outage : parse_se_outages(v.text, v.flag)) {
+         if (outage.storage_element != "se0") {
+           throw ParseError(v.flag + " names unknown storage element '" +
+                            outage.storage_element + "'");
+         }
+         g.default_se_outages.push_back({outage.start_seconds, outage.duration_seconds});
+       }
+     }},
+    {"se-capacity", "MB", "replica capacity of every SE (0 = unbounded)", kRun,
+     [](GridConfig& g, Value v) { g.default_se_capacity_mb = v.nonnegative_real(); }},
+    {"eviction-policy", "NAME", "lru|pin-sources", kRun,
+     [](GridConfig& g, Value v) {
+       g.replica_eviction_policy = v.policy(&Registry::check_eviction);
+     }},
+    // Multi-tenant enactment on one shared grid through the RunService.
+    {"runs", "N", "enact N concurrent copies of the run", kMulti,
+     [](Options& o, Value v) { o.runs = v.positive_count(); }},
+    {"max-active", "N", "runs enacted at once", kRun,
+     [](Options& o, Value v) { o.service.admission.max_active = v.positive_count(); }},
+    {"max-inflight", "N", "backend executions at once (0 = unbounded)", kRun,
+     [](Options& o, Value v) { o.service.admission.max_inflight = v.count(); }},
+    {"telemetry-out", "FRAMES.jsonl", "stream telemetry frames each interval", kMulti,
+     [](Options& o, Value v) { o.service.telemetry.jsonl_path = v.text; }},
+    {"telemetry-port", "PORT", "scrape endpoint on 127.0.0.1 (0 = ephemeral)", kMulti,
+     [](Options& o, Value v) { o.service.telemetry.scrape_port = v.port(); }},
+    {"telemetry-interval", "SECONDS", "telemetry sampling interval", kMulti,
+     [](Options& o, Value v) {
+       o.service.telemetry.interval_seconds = v.positive_seconds();
+     }},
+    {"telemetry-linger", "SECONDS", "keep the endpoint up after the runs", kMulti,
+     [](Options& o, Value v) { o.linger_seconds = v.nonnegative_seconds(); }},
+    {"flight-recorder", "PREFIX", "dump PREFIX<run-id>.json on failure", kMulti,
+     [](Options& o, Value v) { o.service.telemetry.flight_recorder_path = v.text; }},
+    {"critical-path", "OUT.json", "per-run critical-path report", kMulti,
+     &Options::critical_path},
+    // Outputs; per-run files get a .run<K> suffix under the RunService.
+    {"csv", "OUT.csv", "timeline CSV", kRun, &Options::csv},
+    {"provenance", "OUT.xml", "sink provenance", kRun, &Options::provenance},
+    {"failure-report", "OUT.json", "lost-tuple report", kRun, &Options::failure_report},
+    {"trace", nullptr, "print the per-invocation trace table", kRun,
+     [](Options& o, Value) { o.trace = true; }},
+    {"diagram", "[SECONDS]", "print the execution diagram (seconds per column)", kRun,
+     [](Options& o, Value v) {
+       o.diagram = v.text.empty() ? 0.0 : v.nonnegative_seconds();  // bare: auto scale
+     }},
+    {"trace-out", "TRACE.json", "Chrome trace of the spans", kRun, &Options::trace_out},
+    {"metrics-out", "METRICS.prom", "Prometheus metrics", kRun, &Options::metrics_out},
+    {"obs-summary", nullptr, "print the metrics summary", kRun,
+     [](Options& o, Value) { o.obs_summary = true; }},
+    {"cache-stats-out", "STATS.json", "cache counters", kRun, &Options::cache_stats_out},
+    {"out", "RUN.xml", "where to write the manifest", kSave, &Options::out},
+    {"dot", "OUT.dot", "GraphViz rendering of the workflow", kValidate, &Options::dot},
+    {"nd", "N", "input data set size", kValidate | kModel,
+     [](Options& o, Value v) { o.nd = v.positive_count(); }},
+    {"nw", "N", "services on the critical path", kModel,
+     [](Options& o, Value v) { o.nw = v.positive_count(); }},
+    {"t", "SECONDS", "time of one service invocation (default 1)", kModel,
+     [](Options& o, Value v) { o.t = v.nonnegative_seconds(); }},
+    {"dir", "DIR", "output directory", kExport, &Options::dir},
+    {"pairs", "N", "image pairs in the data set (default 12)", kExport,
+     [](Options& o, Value v) { o.pairs = v.positive_count(); }},
+};
+
+/// Apply the given flags whose rows write into a Target, in table order.
+template <class Target>
+void apply_flags(const Given& given, Target& target) {
+  for (const auto& [flag, text] : given) {
+    if (const auto* set = std::get_if<void (*)(Target&, Value)>(&flag->set)) {
+      (*set)(target, Value{text, "--"s + flag->name});
+    }
+  }
+}
+
+/// Manifests of a run: the --manifests list, or one from --manifest or
+/// --workflow/--data, with every run override applied to each.
+std::vector<Manifest> load_manifests(const Options& o) {
+  std::vector<Manifest> manifests;
+  if (!o.manifests.empty()) {
+    if (!o.manifest.empty() || !o.workflow.empty() || !o.data.empty()) {
+      throw UsageError("--manifests excludes --manifest, --workflow and --data");
+    }
+    for (const auto& path : o.manifests) {
+      manifests.push_back(Manifest::from_xml(read_file(path)));
+    }
+  } else if (!o.manifest.empty()) {
+    manifests.push_back(Manifest::from_xml(read_file(o.manifest)));
   } else {
-    manifest.workflow = workflow::from_scufl(read_file(args.require("workflow")));
-    manifest.inputs = data::InputDataSet::from_xml(read_file(args.require("data")));
+    Manifest& m = manifests.emplace_back();
+    m.workflow = workflow::from_scufl(read_file(required(o.workflow, "--workflow")));
+    m.inputs = data::InputDataSet::from_xml(read_file(required(o.data, "--data")));
   }
-  if (const auto policy = args.get("policy")) {
-    manifest.policy = enactor::EnactmentPolicy::parse(*policy);
+  for (auto& manifest : manifests) {
+    apply_flags(o.given, manifest);
+    apply_flags(o.given, manifest.policy);
   }
-  if (const auto preset = args.get("grid")) manifest.grid_preset = *preset;
-  if (const auto seed = args.get("seed")) manifest.seed = std::stoull(*seed);
-  if (const auto overhead = args.get("overhead")) {
-    manifest.constant_overhead_seconds = std::stod(*overhead);
+  return manifests;
+}
+
+/// One grid for every run: the first manifest decides its shape and the
+/// grid-wide policy knobs (matchmaking stays per run through JobRequest),
+/// the fault flags edit it, and any data-aware run turns locality ranking on.
+GridConfig make_grid_config(const Options& o, const std::vector<Manifest>& manifests) {
+  const Policy& first = manifests.front().policy;
+  GridConfig config = manifests.front().make_grid_config();
+  apply_flags(o.given, config);
+  if (!first.matchmaking.empty()) config.matchmaking_policy = first.matchmaking;
+  if (!first.replica_policy.empty()) config.replica_policy = first.replica_policy;
+  for (const auto& manifest : manifests) {
+    if (manifest.policy.data_aware) config.data_aware_matchmaking = true;
   }
-  if (const auto batch = args.get("batch")) {
-    manifest.policy.batch_size = parse_positive_count(*batch, "--batch");
+  return config;
+}
+
+/// Whether the runs need the replica catalog: the cache records replicas,
+/// stage-in-aware matchmaking ranks CEs by them, live replication routes them
+/// SE→SE, and storage faults and capacity bounds need replicas to lose or evict.
+bool needs_replica_catalog(const GridConfig& grid,
+                           const std::vector<Manifest>& manifests) {
+  if (grid.replica_loss_probability > 0.0 || grid.replica_corruption_probability > 0.0 ||
+      !grid.default_se_outages.empty() || grid.default_se_capacity_mb > 0.0) {
+    return true;
   }
-  if (args.has("adaptive")) manifest.policy.adaptive_batching = true;
-  if (const auto retries = args.get("retries")) {
-    manifest.policy.retry.max_attempts = parse_positive_count(*retries, "--retries");
+  return std::any_of(manifests.begin(), manifests.end(), [](const Manifest& m) {
+    const Policy& p = m.policy;
+    return p.cache || p.data_aware ||
+           (!p.matchmaking.empty() &&
+            Registry::instance().matchmaking_wants_stage_in(p.matchmaking)) ||
+           (!p.replication.empty() && p.replication != policy::kDefaultReplication);
+  });
+}
+
+/// "out.csv" -> "out.run3.csv"; extensionless paths get ".run3" appended;
+/// k = 0 (a single run) leaves the path alone.
+std::string suffixed(const std::string& path, std::size_t k) {
+  if (k == 0) return path;
+  const std::string tag = ".run" + std::to_string(k);
+  const auto dot = path.rfind('.');
+  const auto slash = path.find_last_of('/');
+  if (dot == std::string::npos || (slash != std::string::npos && dot < slash)) {
+    return path + tag;
   }
-  if (const auto multiplier = args.get("retry-timeout")) {
-    manifest.policy.retry.timeout_multiplier =
-        parse_nonnegative_real(*multiplier, "--retry-timeout");
+  return path.substr(0, dot) + tag + path.substr(dot);
+}
+
+/// Report run k (0 = the only run) after its headline: fault containment,
+/// the sink summary, --trace and --diagram, then its output files. Returns
+/// whether tuples were lost with no --failure-policy continue to tolerate it.
+bool report_run(const Options& o, const enactor::EnactmentResult& result,
+                const Policy& policy, bool data_plane, std::size_t k) {
+  if (!result.failure_report.empty()) {
+    std::printf("fault containment: %s", result.failure_report.to_text().c_str());
   }
-  if (const auto backoff = args.get("retry-backoff")) {
-    manifest.policy.retry.backoff_initial_seconds =
-        parse_nonnegative_seconds(*backoff, "--retry-backoff");
+  for (const auto& [sink, tokens] : result.sink_outputs) {
+    std::printf("sink %-20s %zu results\n", (sink + ":").c_str(), tokens.size());
   }
-  if (const auto failure = args.get("failure-policy")) {
-    manifest.policy.failure_policy = enactor::parse_failure_policy(*failure);
+  if (o.trace) std::fputs(enactor::render_trace_table(result.timeline).c_str(), stdout);
+  if (o.diagram) {
+    enactor::DiagramOptions options;
+    options.seconds_per_column = *o.diagram;
+    std::vector<std::string> rows;
+    for (const auto& proc : result.executed_workflow.processors()) {
+      if (proc.kind == workflow::ProcessorKind::kService) rows.push_back(proc.name);
+    }
+    std::fputs(enactor::render_execution_diagram(result.timeline, rows, options).c_str(),
+               stdout);
   }
-  // Any breaker knob switches the circuit breakers on.
-  if (const auto window = args.get("breaker-window")) {
-    manifest.policy.breaker.enabled = true;
-    manifest.policy.breaker.window = parse_positive_count(*window, "--breaker-window");
+  const auto write = [k](Text path, const std::string& content, const char* what) {
+    write_file(suffixed(path, k), content);
+    std::printf("%s written to %s\n", what, suffixed(path, k).c_str());
+  };
+  if (!o.provenance.empty()) {
+    write(o.provenance, data::export_provenance(result.sink_outputs), "provenance");
   }
-  if (const auto threshold = args.get("breaker-threshold")) {
-    manifest.policy.breaker.enabled = true;
-    manifest.policy.breaker.threshold =
-        parse_positive_count(*threshold, "--breaker-threshold");
+  if (!o.csv.empty()) {
+    write(o.csv, enactor::timeline_to_csv(result.timeline, data_plane), "timeline");
   }
-  if (const auto cooldown = args.get("breaker-cooldown")) {
-    manifest.policy.breaker.enabled = true;
-    manifest.policy.breaker.cooldown_seconds =
-        parse_positive_seconds(*cooldown, "--breaker-cooldown");
+  if (!o.failure_report.empty()) {
+    write(o.failure_report, result.failure_report.to_json() + "\n", "failure report");
   }
-  if (args.has("breaker")) manifest.policy.breaker.enabled = true;
-  // Data plane: memoize invocations / rank CEs by stage-in cost.
-  if (args.has("cache")) manifest.policy.cache = true;
-  if (args.has("data-aware")) manifest.policy.data_aware = true;
-  // Pluggable decision policies; names are validated against the registry
-  // here so a typo fails before the grid is even built.
-  const policy::PolicyRegistry& policies = policy::PolicyRegistry::instance();
-  if (const auto name = args.get("matchmaking")) {
-    manifest.policy.matchmaking = policies.check_matchmaking(*name, "--matchmaking");
-  }
-  if (const auto name = args.get("placement")) {
-    manifest.policy.placement = policies.check_placement(*name, "--placement");
-  }
-  if (const auto name = args.get("replica-policy")) {
-    manifest.policy.replica_policy = policies.check_replica(*name, "--replica-policy");
-  }
-  if (const auto name = args.get("admission-policy")) {
-    manifest.policy.admission = policies.check_admission(*name, "--admission-policy");
-  }
-  // Decentralized data flow: a named ReplicationPolicy routes staging SE→SE,
-  // and a finite orchestrator link makes centralized staging contend.
-  if (const auto name = args.get("replication-policy")) {
-    manifest.policy.replication =
-        policies.check_replication(*name, "--replication-policy");
-  }
-  if (const auto bw = args.get("orchestrator-bw")) {
-    manifest.orchestrator_bandwidth_mbps =
-        parse_nonnegative_real(*bw, "--orchestrator-bw");
-  }
-  // Data-plane fault tolerance: lineage recovery is on by default (it is only
-  // reachable under SE fault injection); --no-recovery disables it for
-  // recovery-off baselines.
-  if (args.has("no-recovery")) manifest.policy.lineage_recovery = false;
-  if (const auto depth = args.get("recovery-depth")) {
-    manifest.policy.max_recovery_depth = parse_positive_count(*depth, "--recovery-depth");
-  }
-  // Enactment-core sharding (multi-tenant runs; round-trips via the manifest).
-  if (const auto shards = args.get("shards")) {
-    manifest.shards = parse_positive_count(*shards, "--shards");
-  }
-  if (const auto pin = args.get("pin-policy")) {
-    service::parse_pin_policy(*pin);  // validate early; stored as text
-    manifest.pin_policy = *pin;
-  }
-  return manifest;
+  return result.failures() != 0 &&
+         policy.failure_policy != enactor::FailurePolicy::kContinue;
 }
 
 /// --cache-stats-out payload: totals, catalog entry count, per-run counters.
@@ -268,348 +429,67 @@ std::string cache_stats_json(const data::InvocationCache* cache) {
   return os.str();
 }
 
-/// Fault-injection flags shared by both run paths: per-attempt CE faults
-/// (--inject-*) and the storage plane (--se-outage/--se-loss/--se-corrupt).
-/// SE names in --se-outage are checked against the configuration: "se0"
-/// addresses the implicit default SE, anything else must be declared.
-void apply_fault_flags(const Args& args, grid::GridConfig& config) {
-  if (const auto p = args.get("inject-failures")) {
-    config.failure_probability = parse_probability(*p, "--inject-failures");
-  }
-  if (const auto p = args.get("inject-stuck")) {
-    config.stuck_job_probability = parse_probability(*p, "--inject-stuck");
-  }
-  if (const auto n = args.get("grid-attempts")) {
-    config.max_attempts = static_cast<int>(parse_positive_count(*n, "--grid-attempts"));
-  }
-  if (const auto p = args.get("se-loss")) {
-    config.replica_loss_probability = parse_probability(*p, "--se-loss");
-  }
-  if (const auto p = args.get("se-corrupt")) {
-    config.replica_corruption_probability = parse_probability(*p, "--se-corrupt");
-  }
-  if (const auto spec = args.get("se-outage")) {
-    for (const auto& outage : parse_se_outages(*spec, "--se-outage")) {
-      const grid::StorageOutageWindow window{outage.start_seconds,
-                                             outage.duration_seconds};
-      auto declared = std::find_if(
-          config.storage_elements.begin(), config.storage_elements.end(),
-          [&](const grid::StorageElementConfig& se) {
-            return se.name == outage.storage_element;
-          });
-      if (declared != config.storage_elements.end()) {
-        declared->outages.push_back(window);
-      } else if (outage.storage_element == "se0") {
-        config.default_se_outages.push_back(window);
-      } else {
-        throw ParseError("--se-outage names unknown storage element '" +
-                         outage.storage_element + "'");
-      }
-    }
-  }
-  // Capacity-bounded storage: a finite default-SE budget makes the catalog
-  // evict, under the named EvictionPolicy.
-  if (const auto cap = args.get("se-capacity")) {
-    config.default_se_capacity_mb = parse_nonnegative_real(*cap, "--se-capacity");
-  }
-  if (const auto name = args.get("eviction-policy")) {
-    config.replica_eviction_policy =
-        policy::PolicyRegistry::instance().check_eviction(*name, "--eviction-policy");
-  }
-}
-
-/// "out.csv" -> "out.run3.csv"; extensionless paths get ".run3" appended.
-std::string suffixed(const std::string& path, std::size_t k) {
-  const std::string tag = ".run" + std::to_string(k);
-  const auto dot = path.rfind('.');
-  const auto slash = path.find_last_of('/');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash)) {
-    return path + tag;
-  }
-  return path.substr(0, dot) + tag + path.substr(dot);
-}
-
-/// Multi-tenant mode: enact several runs concurrently on ONE shared simulated
-/// grid through a RunService. The run set is the cross product of the listed
-/// manifests (or the single --manifest/--workflow spec) and --runs copies.
-int cmd_run_multi(const Args& args) {
-  std::vector<enactor::RunManifest> manifests;
-  if (const auto list = args.get("manifests")) {
-    for (const auto& path : split(*list, ',')) {
-      manifests.push_back(enactor::RunManifest::from_xml(read_file(path)));
-    }
-    if (manifests.empty()) usage("--manifests names no files");
-  } else {
-    manifests.push_back(manifest_from_args(args));
-  }
-  const std::size_t copies =
-      args.get("runs") ? parse_positive_count(args.require("runs"), "--runs") : 1;
-
+/// What both run paths share: the service catalog, the one grid and its
+/// backend, the replica catalog when needed, and the recorder when any
+/// observability output is asked for.
+struct RunSetup {
+  std::vector<Manifest> manifests;
   services::ServiceRegistry registry;
-  if (const auto catalog = args.get("services")) {
-    const std::size_t count = services::load_catalog(read_file(*catalog), registry);
-    std::printf("loaded %zu services from %s\n", count, catalog->c_str());
-  }
-
-  // One grid for every tenant: the first manifest decides its shape.
   sim::Simulator simulator;
-  grid::GridConfig grid_config = manifests.front().make_grid_config();
-  apply_fault_flags(args, grid_config);
-  const bool storage_faults = grid_config.replica_loss_probability > 0.0 ||
-                              grid_config.replica_corruption_probability > 0.0 ||
-                              !grid_config.default_se_outages.empty() ||
-                              args.has("se-outage");
-  // The first manifest decides the grid's own policy knobs (replica
-  // placement is a grid-wide concern); matchmaking stays per-run through
-  // JobRequest, so here it only decides whether the data plane comes up.
-  if (!manifests.front().policy.matchmaking.empty()) {
-    grid_config.matchmaking_policy = manifests.front().policy.matchmaking;
-  }
-  if (!manifests.front().policy.replica_policy.empty()) {
-    grid_config.replica_policy = manifests.front().policy.replica_policy;
-  }
-  const policy::PolicyRegistry& policies = policy::PolicyRegistry::instance();
-  bool data_plane = storage_faults || grid_config.default_se_capacity_mb > 0.0;
-  for (auto& manifest : manifests) {
-    if (manifest.policy.data_aware) grid_config.data_aware_matchmaking = true;
-    data_plane = data_plane || manifest.policy.cache || manifest.policy.data_aware ||
-                 (!manifest.policy.matchmaking.empty() &&
-                  policies.matchmaking_wants_stage_in(manifest.policy.matchmaking)) ||
-                 (!manifest.policy.replication.empty() &&
-                  manifest.policy.replication != policy::kDefaultReplication);
-    if (args.has("no-recovery")) manifest.policy.lineage_recovery = false;
-  }
-  grid::Grid grid(simulator, grid_config);
-  enactor::SimGridBackend backend(grid);
-  // One catalog for every tenant, like the grid itself: replicas produced by
-  // one run are visible to the broker when placing another run's jobs.
+  grid::Grid grid;
+  enactor::SimGridBackend backend;
+  bool data_plane;
   data::ReplicaCatalog catalog;
-  if (data_plane) backend.set_catalog(&catalog);
-
-  service::RunServiceConfig config;
-  if (const auto n = args.get("max-active")) {
-    config.admission.max_active = parse_positive_count(*n, "--max-active");
-  }
-  if (const auto n = args.get("max-inflight")) {
-    // 0 is meaningful here: an unbounded gate.
-    config.admission.max_inflight = parse_count(*n, "--max-inflight");
-  }
-  if (!manifests.front().policy.admission.empty()) {
-    config.admission.policy = manifests.front().policy.admission;
-  }
-  // The first manifest decides the sharding, like the grid; explicit flags win.
-  config.sharding.shards = manifests.front().shards;
-  config.sharding.pin = service::parse_pin_policy(manifests.front().pin_policy);
-  if (const auto n = args.get("shards")) {
-    config.sharding.shards = parse_positive_count(*n, "--shards");
-  }
-  if (const auto pin = args.get("pin-policy")) {
-    config.sharding.pin = service::parse_pin_policy(*pin);
-  }
-  config.defaults.policy = manifests.front().policy;
-  // Live telemetry plane: streaming frames, the scrape endpoint, and the
-  // crash flight recorder all hang off the service config.
-  if (const auto out = args.get("telemetry-out")) config.telemetry.jsonl_path = *out;
-  if (const auto port = args.get("telemetry-port")) {
-    config.telemetry.scrape_port = std::stoi(*port);
-    if (config.telemetry.scrape_port < 0) usage("--telemetry-port must be >= 0");
-  }
-  if (const auto interval = args.get("telemetry-interval")) {
-    config.telemetry.interval_seconds =
-        parse_positive_seconds(*interval, "--telemetry-interval");
-  }
-  if (const auto prefix = args.get("flight-recorder")) {
-    config.telemetry.flight_recorder_path = *prefix;
-  }
-  // Declared before the service: the telemetry hub samples the recorder until
-  // RunService::shutdown(), so the recorder must outlive the service.
   obs::RunRecorder recorder;
-  service::RunService runs(backend, registry, config);
+  obs::RunRecorder* observer = nullptr;  // &recorder when observing
 
-  const bool observe = args.has("trace-out") || args.has("metrics-out") ||
-                       args.has("obs-summary") || args.has("critical-path") ||
-                       config.telemetry.hub_enabled();
-  if (observe) {
-    runs.set_recorder(&recorder);
-    backend.set_metrics(&recorder.metrics());
-  }
-  if (const obs::TelemetryHub* hub = runs.telemetry(); hub != nullptr) {
-    if (hub->port() >= 0) {
-      std::printf("telemetry scrape endpoint on http://127.0.0.1:%d/metrics\n",
-                  hub->port());
+  // The backend and the telemetry hub hold addresses of the members.
+  RunSetup(const RunSetup&) = delete;
+  RunSetup& operator=(const RunSetup&) = delete;
+  RunSetup(const Options& o, std::vector<Manifest> loaded)
+      : manifests(std::move(loaded)),
+        grid(simulator, make_grid_config(o, manifests)),
+        backend(grid),
+        data_plane(needs_replica_catalog(grid.config(), manifests)) {
+    if (!o.services.empty()) {
+      const std::size_t count = services::load_catalog(read_file(o.services), registry);
+      std::printf("loaded %zu services from %s\n", count, o.services.c_str());
     }
-    if (!config.telemetry.jsonl_path.empty()) {
-      std::printf("telemetry frames streaming to %s every %.3g s\n",
-                  config.telemetry.jsonl_path.c_str(),
-                  config.telemetry.interval_seconds);
+    if (data_plane) backend.set_catalog(&catalog);
+    if (!o.trace_out.empty() || !o.metrics_out.empty() || o.obs_summary ||
+        !o.critical_path.empty() || o.service.telemetry.hub_enabled()) {
+      observer = &recorder;
+      backend.set_metrics(&recorder.metrics());
     }
-    std::fflush(stdout);  // scripts read the bound port while we still run
-  }
-
-  std::vector<enactor::RunRequest> requests;
-  for (std::size_t c = 0; c < copies; ++c) {
-    for (const auto& manifest : manifests) {
-      enactor::RunRequest request;
-      request.name = manifest.workflow.name() + "-" + std::to_string(requests.size() + 1);
-      request.workflow = manifest.workflow;
-      request.inputs = manifest.inputs;
-      request.policy = manifest.policy;
-      requests.push_back(std::move(request));
-    }
-  }
-  const std::size_t total = requests.size();
-  std::printf(
-      "enacting %zu concurrent run(s) (max active %zu, gate %zu, %zu shard(s) [%s],"
-      " grid %s)\n",
-      total, config.admission.max_active, config.admission.max_inflight, runs.shards(),
-      service::to_string(config.sharding.pin), manifests.front().grid_preset.c_str());
-  auto handles = runs.submit_all(std::move(requests));
-  runs.wait_idle();
-
-  bool hard_failure = false;
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    auto& handle = handles[i];
-    // wait_idle() drained the service, so every handle is terminal and the
-    // non-blocking accessors suffice.
-    const service::RunState state = handle.poll();
-    const enactor::EnactmentResult* terminal = handle.try_result();
-    if (terminal == nullptr) {
-      std::fprintf(stderr, "run %s not terminal after wait_idle\n", handle.id().c_str());
-      return 1;
-    }
-    const auto& result = *terminal;
-    std::printf("run %-24s %-9s makespan %s, %zu invocations, %zu failures",
-                (handle.id() + ":").c_str(), service::to_string(state),
-                format_duration(result.makespan()).c_str(), result.invocations(),
-                result.failures());
-    if (result.cache_hits() != 0) std::printf(", %zu cache hits", result.cache_hits());
-    std::printf("\n");
-    if (!result.failure_report.empty()) {
-      std::printf("  fault containment: %s", result.failure_report.to_text().c_str());
-    }
-    const bool tolerated = manifests[i % manifests.size()].policy.failure_policy ==
-                           enactor::FailurePolicy::kContinue;
-    if (state == service::RunState::kFailed ||
-        (result.failures() != 0 && !tolerated)) {
-      hard_failure = true;
-    }
-    const std::size_t k = i + 1;
-    if (const auto out = args.get("csv")) {
-      write_file(suffixed(*out, k), enactor::timeline_to_csv(result.timeline, data_plane));
-    }
-    if (const auto out = args.get("failure-report")) {
-      write_file(suffixed(*out, k), result.failure_report.to_json() + "\n");
-    }
-    if (const auto out = args.get("provenance")) {
-      write_file(suffixed(*out, k), data::export_provenance(result.sink_outputs));
-    }
-  }
-  // Critical-path attribution per run, before the metric exports so the
-  // moteur_critical_path_seconds series land in --metrics-out too.
-  if (const auto out = args.get("critical-path")) {
-    runs.with_observability([&](obs::RunRecorder& rec) {
-      for (std::size_t i = 0; i < handles.size(); ++i) {
-        const obs::CriticalPathReport report = obs::critical_path(
-            rec.tracer(), handles[i].id(), handles[i].admission_wait());
-        obs::record_phases(rec.metrics(), report);
-        const std::string path = total > 1 ? suffixed(*out, i + 1) : *out;
-        write_file(path, report.to_json() + "\n");
-        std::fputs(report.to_text().c_str(), stdout);
-      }
-    });
-  }
-  if (const auto out = args.get("trace-out")) {
-    write_file(*out, obs::chrome_trace_json(recorder.tracer()));
-    std::printf("trace written to %s (one pid lane per run)\n", out->c_str());
-  }
-  if (const auto out = args.get("metrics-out")) {
-    write_file(*out, obs::prometheus_text(recorder.metrics()));
-    std::printf("metrics written to %s\n", out->c_str());
-  }
-  if (const auto out = args.get("cache-stats-out")) {
-    write_file(*out, cache_stats_json(runs.invocation_cache()));
-    std::printf("cache stats written to %s\n", out->c_str());
-  }
-  if (args.has("obs-summary")) {
-    std::fputs(obs::obs_summary(recorder.tracer(), recorder.metrics()).c_str(), stdout);
-  }
-  // Keep the service (and its scrape endpoint) alive so external scrapers can
-  // fetch /metrics after a fast simulated run finishes.
-  if (const auto linger = args.get("telemetry-linger")) {
-    const double seconds = std::stod(*linger);
-    if (seconds < 0.0) usage("--telemetry-linger must be >= 0");
-    if (seconds > 0.0 && runs.telemetry() != nullptr) {
-      std::printf("lingering %.3g s for telemetry scrapes\n", seconds);
-      std::fflush(stdout);
-      std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    }
-  }
-  return hard_failure ? 2 : 0;
-}
-
-int cmd_run(const Args& args) {
-  const bool telemetry_flags = args.has("telemetry-out") || args.has("telemetry-port") ||
-                               args.has("telemetry-interval") ||
-                               args.has("telemetry-linger") || args.has("flight-recorder") ||
-                               args.has("critical-path");
-  if (args.has("runs") || args.has("manifests") || telemetry_flags) {
-    return cmd_run_multi(args);
-  }
-  const enactor::RunManifest manifest = manifest_from_args(args);
-
-  services::ServiceRegistry registry;
-  if (const auto catalog = args.get("services")) {
-    const std::size_t count = services::load_catalog(read_file(*catalog), registry);
-    std::printf("loaded %zu services from %s\n", count, catalog->c_str());
   }
 
-  sim::Simulator simulator;
-  grid::GridConfig grid_config = manifest.make_grid_config();
-  // Fault-injection knobs: surface failures to the enactor's retry policy.
-  apply_fault_flags(args, grid_config);
-  if (manifest.policy.data_aware) grid_config.data_aware_matchmaking = true;
-  if (!manifest.policy.matchmaking.empty()) {
-    grid_config.matchmaking_policy = manifest.policy.matchmaking;
+  /// The run set's own outputs, after every per-run report.
+  void write_outputs(const Options& o, const data::InvocationCache* cache,
+                     const char* trace_note) const {
+    if (!o.cache_stats_out.empty()) {
+      write_file(o.cache_stats_out, cache_stats_json(cache));
+      std::printf("cache stats written to %s\n", o.cache_stats_out.c_str());
+    }
+    if (!o.trace_out.empty()) {
+      write_file(o.trace_out, obs::chrome_trace_json(recorder.tracer()));
+      std::printf("trace written to %s (%s)\n", o.trace_out.c_str(), trace_note);
+    }
+    if (!o.metrics_out.empty()) {
+      write_file(o.metrics_out, obs::prometheus_text(recorder.metrics()));
+      std::printf("metrics written to %s\n", o.metrics_out.c_str());
+    }
+    if (o.obs_summary) {
+      std::fputs(obs::obs_summary(recorder.tracer(), recorder.metrics()).c_str(), stdout);
+    }
   }
-  if (!manifest.policy.replica_policy.empty()) {
-    grid_config.replica_policy = manifest.policy.replica_policy;
-  }
-  // A stage-in-aware matchmaking policy needs the replica catalog attached,
-  // exactly like --data-aware.
-  const bool stage_in_matchmaking =
-      !manifest.policy.matchmaking.empty() &&
-      policy::PolicyRegistry::instance().matchmaking_wants_stage_in(
-          manifest.policy.matchmaking);
-  grid::Grid grid(simulator, grid_config);
-  enactor::SimGridBackend backend(grid);
-  // Either data-plane feature needs the replica catalog: the cache records
-  // produced replicas, the broker ranks CEs by stage-in cost against it —
-  // and storage fault injection needs one to have replicas to lose.
-  const bool storage_faults = grid_config.replica_loss_probability > 0.0 ||
-                              grid_config.replica_corruption_probability > 0.0 ||
-                              !grid_config.default_se_outages.empty() ||
-                              args.has("se-outage");
-  // A live replication policy needs per-file staging plans to route SE→SE,
-  // and capacity bounds need replicas to evict: both bring the catalog up.
-  const bool replication_on = !manifest.policy.replication.empty() &&
-                              manifest.policy.replication != policy::kDefaultReplication;
-  const bool data_plane = manifest.policy.cache || manifest.policy.data_aware ||
-                          storage_faults || stage_in_matchmaking || replication_on ||
-                          grid_config.default_se_capacity_mb > 0.0;
-  data::ReplicaCatalog catalog;
-  if (data_plane) backend.set_catalog(&catalog);
-  enactor::Enactor moteur(backend, registry, manifest.policy);
+};
 
-  // Observability: one recorder subscribes to the run's event stream and the
-  // backend's metric hooks; exports happen after the run.
-  obs::RunRecorder recorder;
-  const bool observe =
-      args.has("trace-out") || args.has("metrics-out") || args.has("obs-summary");
-  if (observe) {
-    moteur.set_recorder(&recorder);
-    backend.set_metrics(&recorder.metrics());
-  }
-
+/// One run on the synchronous Enactor: no admission gate, so the simulated
+/// timeline is the golden one.
+int enact_one(const Options& o, RunSetup& s) {
+  const Manifest& manifest = s.manifests.front();
+  enactor::Enactor moteur(s.backend, s.registry, manifest.policy);
+  moteur.set_recorder(s.observer);
   enactor::RunRequest request;
   request.workflow = manifest.workflow;
   request.inputs = manifest.inputs;
@@ -631,69 +511,112 @@ int cmd_run(const Args& args) {
     std::printf("cache:        %zu invocation(s) served without a grid job\n",
                 result.cache_hits());
   }
-  if (!result.failure_report.empty()) {
-    std::printf("fault containment: %s", result.failure_report.to_text().c_str());
-  }
-  for (const auto& [sink, tokens] : result.sink_outputs) {
-    std::printf("sink %-20s %zu results\n", (sink + ":").c_str(), tokens.size());
-  }
-
-  if (args.has("trace")) {
-    std::fputs(enactor::render_trace_table(result.timeline).c_str(), stdout);
-  }
-  if (const auto per_column = args.get("diagram")) {
-    enactor::DiagramOptions options;
-    options.seconds_per_column = per_column->empty() ? 0.0 : std::stod(*per_column);
-    std::vector<std::string> rows;
-    for (const auto& proc : result.executed_workflow.processors()) {
-      if (proc.kind == workflow::ProcessorKind::kService) rows.push_back(proc.name);
-    }
-    std::fputs(enactor::render_execution_diagram(result.timeline, rows, options).c_str(),
-               stdout);
-  }
-  if (const auto out = args.get("provenance")) {
-    write_file(*out, data::export_provenance(result.sink_outputs));
-    std::printf("provenance written to %s\n", out->c_str());
-  }
-  if (const auto out = args.get("csv")) {
-    write_file(*out, enactor::timeline_to_csv(result.timeline, data_plane));
-    std::printf("timeline written to %s\n", out->c_str());
-  }
-  if (const auto out = args.get("cache-stats-out")) {
-    write_file(*out, cache_stats_json(moteur.invocation_cache()));
-    std::printf("cache stats written to %s\n", out->c_str());
-  }
-  if (const auto out = args.get("trace-out")) {
-    write_file(*out, obs::chrome_trace_json(recorder.tracer()));
-    std::printf("trace written to %s (open in chrome://tracing)\n", out->c_str());
-  }
-  if (const auto out = args.get("metrics-out")) {
-    write_file(*out, obs::prometheus_text(recorder.metrics()));
-    std::printf("metrics written to %s\n", out->c_str());
-  }
-  if (args.has("obs-summary")) {
-    std::fputs(obs::obs_summary(recorder.tracer(), recorder.metrics()).c_str(), stdout);
-  }
-  if (const auto out = args.get("failure-report")) {
-    write_file(*out, result.failure_report.to_json() + "\n");
-    std::printf("failure report written to %s\n", out->c_str());
-  }
-  // Under --failure-policy continue a partial-result run is a success: the
-  // losses are accounted for in the failure report, not in the exit status.
-  if (manifest.policy.failure_policy == enactor::FailurePolicy::kContinue) return 0;
-  return result.failures() == 0 ? 0 : 2;
+  const bool lost = report_run(o, result, manifest.policy, s.data_plane, 0);
+  s.write_outputs(o, moteur.invocation_cache(), "open in chrome://tracing");
+  return lost ? 2 : 0;
 }
 
-int cmd_save_manifest(const Args& args) {
-  const enactor::RunManifest manifest = manifest_from_args(args);
-  const std::string out = args.require("out");
-  write_file(out, manifest.to_xml());
+/// Multi-tenant mode: enact several runs concurrently on ONE shared simulated
+/// grid through a RunService. The run set is the cross product of the
+/// manifests and --runs copies.
+int enact_many(const Options& o, RunSetup& s) {
+  const Manifest& first = s.manifests.front();
+  // Like the grid, admission policy and sharding follow the first manifest.
+  service::RunServiceConfig config = o.service;
+  if (!first.policy.admission.empty()) config.admission.policy = first.policy.admission;
+  config.sharding.shards = first.shards;
+  config.sharding.pin = parse_pin_policy(first.pin_policy);
+  config.defaults.policy = first.policy;
+  // The recorder (in RunSetup) outlives the service: the telemetry hub
+  // samples it until RunService::shutdown().
+  service::RunService runs(s.backend, s.registry, config);
+  runs.set_recorder(s.observer);
+  if (const obs::TelemetryHub* hub = runs.telemetry(); hub != nullptr) {
+    if (hub->port() >= 0) {
+      std::printf("telemetry scrape endpoint on http://127.0.0.1:%d/metrics\n",
+                  hub->port());
+    }
+    if (!config.telemetry.jsonl_path.empty()) {
+      std::printf("telemetry frames streaming to %s every %.3g s\n",
+                  config.telemetry.jsonl_path.c_str(), config.telemetry.interval_seconds);
+    }
+    std::fflush(stdout);  // scripts read the bound port while we still run
+  }
+
+  std::vector<enactor::RunRequest> requests;
+  for (std::size_t c = 0; c < o.runs; ++c) {
+    for (const auto& manifest : s.manifests) {
+      enactor::RunRequest& request = requests.emplace_back();
+      request.name = manifest.workflow.name() + "-" + std::to_string(requests.size());
+      request.workflow = manifest.workflow;
+      request.inputs = manifest.inputs;
+      request.policy = manifest.policy;
+    }
+  }
+  const std::size_t total = requests.size();
+  std::printf(
+      "enacting %zu concurrent run(s) (max active %zu, gate %zu, %zu shard(s) [%s],"
+      " grid %s)\n",
+      total, config.admission.max_active, config.admission.max_inflight, runs.shards(),
+      service::to_string(config.sharding.pin), first.grid_preset.c_str());
+  auto handles = runs.submit_all(std::move(requests));
+  runs.wait_idle();
+
+  bool hard_failure = false;
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    const service::RunHandle& handle = handles[i];
+    const service::RunState state = handle.wait();  // terminal after wait_idle()
+    const enactor::EnactmentResult& result = handle.result();
+    std::printf("run %-24s %-9s makespan %s, %zu invocations, %zu failures",
+                (handle.id() + ":").c_str(), service::to_string(state),
+                format_duration(result.makespan()).c_str(), result.invocations(),
+                result.failures());
+    if (result.cache_hits() != 0) std::printf(", %zu cache hits", result.cache_hits());
+    std::printf("\n");
+    const Policy& policy = s.manifests[i % s.manifests.size()].policy;
+    const bool lost = report_run(o, result, policy, s.data_plane, i + 1);
+    hard_failure = hard_failure || lost || state == service::RunState::kFailed;
+  }
+  // Critical-path attribution per run, before the metric exports so the
+  // moteur_critical_path_seconds series land in --metrics-out too.
+  if (!o.critical_path.empty()) {
+    runs.with_observability([&](obs::RunRecorder& rec) {
+      for (std::size_t i = 0; i < handles.size(); ++i) {
+        const obs::CriticalPathReport report = obs::critical_path(
+            rec.tracer(), handles[i].id(), handles[i].admission_wait());
+        obs::record_phases(rec.metrics(), report);
+        const std::string path = suffixed(o.critical_path, total > 1 ? i + 1 : 0);
+        write_file(path, report.to_json() + "\n");
+        std::fputs(report.to_text().c_str(), stdout);
+      }
+    });
+  }
+  s.write_outputs(o, runs.invocation_cache(), "one pid lane per run");
+  // Keep the service (and its scrape endpoint) alive so external scrapers can
+  // fetch /metrics after a fast simulated run finishes.
+  if (o.linger_seconds > 0.0 && runs.telemetry() != nullptr) {
+    std::printf("lingering %.3g s for telemetry scrapes\n", o.linger_seconds);
+    std::fflush(stdout);
+    std::this_thread::sleep_for(std::chrono::duration<double>(o.linger_seconds));
+  }
+  return hard_failure ? 2 : 0;
+}
+
+int cmd_run(const Options& o) {
+  RunSetup setup(o, load_manifests(o));
+  return o.multi ? enact_many(o, setup) : enact_one(o, setup);
+}
+
+int cmd_save_manifest(const Options& o) {
+  const std::string out = required(o.out, "--out");
+  write_file(out, load_manifests(o).front().to_xml());
   std::printf("manifest written to %s\n", out.c_str());
   return 0;
 }
 
-int cmd_validate(const Args& args) {
-  const workflow::Workflow wf = workflow::from_scufl(read_file(args.require("workflow")));
+int cmd_validate(const Options& o) {
+  const workflow::Workflow wf =
+      workflow::from_scufl(read_file(required(o.workflow, "--workflow")));
   std::printf("workflow '%s': OK\n", wf.name().c_str());
   std::printf("  processors: %zu (%zu sources, %zu services, %zu sinks)\n",
               wf.processors().size(), wf.sources().size(), wf.services().size(),
@@ -717,21 +640,21 @@ int cmd_validate(const Args& args) {
     }
   }
 
-  if (const auto dot = args.get("dot")) {
-    write_file(*dot, workflow::to_dot(wf));
-    std::printf("  GraphViz rendering written to %s\n", dot->c_str());
+  if (!o.dot.empty()) {
+    write_file(o.dot, workflow::to_dot(wf));
+    std::printf("  GraphViz rendering written to %s\n", o.dot.c_str());
   }
 
   // With a catalog and a data-set size, predict makespans per policy.
-  if (args.get("services") && args.get("nd")) {
+  if (!o.services.empty() && o.nd) {
     services::ServiceRegistry registry;
-    services::load_catalog(read_file(args.require("services")), registry);
+    services::load_catalog(read_file(o.services), registry);
     std::map<std::string, double> times;
     for (const auto* proc : wf.services()) {
       times[proc->name] =
           registry.resolve(*proc)->job_profile(services::Inputs{}).compute_seconds;
     }
-    const auto n_d = static_cast<std::size_t>(std::stoul(args.require("nd")));
+    const std::size_t n_d = *o.nd;
     try {
       const auto predicted = model::predict_dag_makespan(wf, times, n_d);
       std::printf("  DAG-model predictions for nD = %zu (compute only, no grid"
@@ -747,12 +670,11 @@ int cmd_validate(const Args& args) {
   return 0;
 }
 
-int cmd_model(const Args& args) {
-  const auto n_w = static_cast<std::size_t>(std::stoul(args.require("nw")));
-  const auto n_d = static_cast<std::size_t>(std::stoul(args.require("nd")));
-  const double t = args.get("t") ? std::stod(*args.get("t")) : 1.0;
-  const model::TimeMatrix times = model::constant_times(n_w, n_d, t);
-  std::printf("§3.5 predictions for nW=%zu, nD=%zu, T=%.1f s:\n", n_w, n_d, t);
+int cmd_model(const Options& o) {
+  if (o.nw == 0 || !o.nd) throw UsageError(o.nw == 0 ? "missing --nw" : "missing --nd");
+  const std::size_t n_w = o.nw, n_d = *o.nd;
+  const model::TimeMatrix times = model::constant_times(n_w, n_d, o.t);
+  std::printf("§3.5 predictions for nW=%zu, nD=%zu, T=%.1f s:\n", n_w, n_d, o.t);
   std::printf("  Sigma     (sequential) = %.1f s\n", model::sigma_sequential(times));
   std::printf("  Sigma_DP               = %.1f s   (S_DP  = %.2f)\n",
               model::sigma_dp(times), model::speedup_dp(n_w, n_d));
@@ -763,25 +685,21 @@ int cmd_model(const Args& args) {
   return 0;
 }
 
-int cmd_export_bronze(const Args& args) {
-  const std::string dir = args.require("dir");
-  const std::size_t pairs =
-      args.get("pairs") ? static_cast<std::size_t>(std::stoul(*args.get("pairs"))) : 12;
-
+int cmd_export_bronze(const Options& o) {
+  const std::string dir = required(o.dir, "--dir");
+  const std::size_t pairs = o.pairs;
   write_file(dir + "/bronze_workflow.xml",
              workflow::to_scufl(app::bronze_standard_workflow()));
   write_file(dir + "/bronze_dataset.xml",
              app::bronze_standard_dataset(pairs).to_xml());
   write_file(dir + "/bronze_services.xml",
              services::to_catalog_xml(app::bronze_catalog()));
-
-  enactor::RunManifest manifest;
+  Manifest manifest;
   manifest.workflow = app::bronze_standard_workflow();
   manifest.inputs = app::bronze_standard_dataset(pairs);
-  manifest.policy = enactor::EnactmentPolicy::sp_dp_jg();
+  manifest.policy = Policy::sp_dp_jg();
   manifest.grid_preset = "egee2006";
   write_file(dir + "/bronze_run.xml", manifest.to_xml());
-
   std::printf("wrote bronze_workflow.xml, bronze_dataset.xml (%zu pairs),\n"
               "bronze_services.xml and bronze_run.xml to %s\n"
               "run it with:\n"
@@ -791,22 +709,103 @@ int cmd_export_bronze(const Args& args) {
   return 0;
 }
 
+struct CommandSpec {
+  const char* name;
+  Command bit;
+  const char* synopsis;
+  int (*run)(const Options&);
+};
+
+const CommandSpec kCommands[] = {
+    {"run", kRun,
+     "(--manifest RUN.xml | --workflow WF.xml --data DS.xml | --manifests ...)\n"
+     "    enact on a simulated grid; --runs, --manifests and the telemetry flags\n"
+     "    enact concurrently through one RunService (out.csv -> out.run1.csv, ...)",
+     cmd_run},
+    {"save-manifest", kSave,
+     "(--manifest RUN.xml | --workflow WF.xml --data DS.xml) --out RUN.xml",
+     cmd_save_manifest},
+    {"validate", kValidate, "--workflow WF.xml [--services CAT.xml --nd N]",
+     cmd_validate},
+    {"model", kModel, "--nw N --nd N [--t SECONDS]", cmd_model},
+    {"export-bronze", kExport, "--dir DIR [--pairs N]", cmd_export_bronze},
+};
+
+/// Print the usage of one command (of all when `only` is null), generated
+/// from kFlags, after an optional error message.
+void print_usage(const CommandSpec* only, const std::string& message) {
+  if (!message.empty()) std::fprintf(stderr, "error: %s\n\n", message.c_str());
+  std::fputs("usage:\n", stderr);
+  for (const CommandSpec& command : kCommands) {
+    if (only != nullptr && only != &command) continue;
+    std::fprintf(stderr, "  moteur_cli %s %s\n", command.name, command.synopsis);
+    for (const Flag& flag : kFlags) {
+      if ((flag.commands & command.bit) == 0) continue;
+      const std::string value = flag.value ? std::string(" ") + flag.value : "";
+      std::fprintf(stderr, "      --%-29s %s\n", (flag.name + value).c_str(), flag.help);
+    }
+  }
+}
+
+/// Parse argv[2..] against kFlags for one command. Unknown flags, value flags
+/// without a value and boolean flags with one are usage errors, like any
+/// malformed value: every value is checked before anything runs.
+Options parse_flags(const CommandSpec& command, int argc, char** argv) {
+  Options options;
+  for (int i = 2; i < argc; ++i) {
+    const std::string word = argv[i];
+    const auto row = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                  [&](const Flag& f) { return word == "--"s + f.name; });
+    if (word.rfind("--", 0) != 0) throw UsageError("unexpected argument '" + word + "'");
+    if (row == std::end(kFlags) || (row->commands & command.bit) == 0) {
+      throw UsageError("unknown flag '" + word + "' for " + command.name);
+    }
+    const bool next_is_value =
+        i + 1 < argc && std::string_view(argv[i + 1]).substr(0, 2) != "--";
+    if (row->value == nullptr && next_is_value) {
+      throw UsageError(word + " takes no value (got '" + argv[i + 1] + "')");
+    }
+    const std::string value = row->value != nullptr && next_is_value ? argv[++i] : "";
+    if (row->value != nullptr && row->value[0] != '[' && value.empty()) {
+      throw UsageError(word + " needs a value " + row->value);
+    }
+    options.given[&*row] = value;  // a repeated flag's last value wins
+    if ((row->commands & kMulti) == kMulti) options.multi = true;
+    if (const auto* field = std::get_if<std::string Options::*>(&row->set)) {
+      options.*(*field) = value;
+    }
+  }
+  // Run overrides and grid knobs are checked on throwaway targets here, and
+  // applied to the real ones once the manifests are loaded.
+  Manifest probe_run;
+  try {
+    apply_flags(options.given, options);
+    apply_flags(options.given, probe_run);
+    apply_flags(options.given, probe_run.policy);
+    GridConfig probe_grid = probe_run.make_grid_config();  // rejects an unknown preset
+    apply_flags(options.given, probe_grid);
+  } catch (const Error& e) {
+    throw UsageError(e.what());
+  }
+  return options;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage();
-  const std::string command = argv[1];
+  const CommandSpec* command = nullptr;
+  for (const CommandSpec& c : kCommands) {
+    if (argc >= 2 && argv[1] == std::string_view(c.name)) command = &c;
+  }
+  if (command == nullptr) {
+    print_usage(nullptr, argc < 2 ? "" : "unknown command '"s + argv[1] + "'");
+    return 1;
+  }
   try {
-    const Args args(argc, argv, 2);
-    if (command == "run") return cmd_run(args);
-    if (command == "save-manifest") return cmd_save_manifest(args);
-    if (command == "validate") return cmd_validate(args);
-    if (command == "model") return cmd_model(args);
-    if (command == "export-bronze") return cmd_export_bronze(args);
-    usage("unknown command '" + command + "'");
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
+    return command->run(parse_flags(*command, argc, argv));
+  } catch (const UsageError& e) {
+    print_usage(command, e.what());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -5,9 +5,11 @@
 #   tools/tier1.sh --tsan   additionally rebuild the enactor-labelled tests
 #                           under -fsanitize=thread and run them
 #                           (ThreadedBackend races surface here)
-#   tools/tier1.sh --asan   additionally rebuild the fault-labelled tests
-#                           under -fsanitize=address,undefined and run them
-#                           (retry/breaker/poisoned-token paths)
+#   tools/tier1.sh --asan   additionally rebuild the fault-labelled tests and
+#                           moteur_cli under -fsanitize=address,undefined and
+#                           run them (retry/breaker/poisoned-token paths, and
+#                           the CLI's argv parsing through the cli-labelled
+#                           ctests)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -442,6 +444,9 @@ fi
 if [ "${1:-}" = "--asan" ]; then
   echo "== ASan stage: fault-containment tests under -fsanitize=address,undefined =="
   cmake -B build-asan -S . -DMOTEUR_ASAN=ON >/dev/null
-  cmake --build build-asan -j --target test_retry test_robustness test_datastore
+  cmake --build build-asan -j --target test_retry test_robustness test_datastore \
+    moteur_cli
   (cd build-asan && ctest --output-on-failure -L fault)
+  echo "== ASan CLI stage: command lines from outside the program =="
+  (cd build-asan && ctest --output-on-failure -L cli)
 fi
