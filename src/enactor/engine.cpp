@@ -998,10 +998,11 @@ void Engine::on_attempt_complete(const std::shared_ptr<Submission>& sub,
       const auto& tuple = sub->tuples[i];
       // Content chain: output digest = H(service, port, (input port, input
       // digest) pairs). Any undigested input breaks the chain (digest 0).
-      const std::vector<std::string>& in_ports = state.buffer->ports();
       std::vector<data::PortDigest> input_digests;
       bool digested = digesting;
       if (digested) {
+        // Barrier processors have no iteration buffer; they never digest.
+        const std::vector<std::string>& in_ports = state.buffer->ports();
         input_digests.reserve(tuple.tokens.size());
         for (std::size_t t = 0; t < tuple.tokens.size(); ++t) {
           if (tuple.tokens[t].digest() == 0) {

@@ -11,9 +11,6 @@
 
 namespace moteur::enactor {
 
-ThreadedBackend::ThreadedBackend(std::size_t threads)
-    : pool_(threads), epoch_(std::chrono::steady_clock::now()) {}
-
 double ThreadedBackend::now() const {
   const auto elapsed = std::chrono::steady_clock::now() - epoch_;
   return std::chrono::duration<double>(elapsed).count();
@@ -137,112 +134,6 @@ Outcome ThreadedBackend::run_payload(const std::shared_ptr<services::Service>& s
   return outcome;
 }
 
-void ThreadedBackend::execute(std::shared_ptr<services::Service> service,
-                              std::vector<services::Inputs> bindings,
-                              Callback on_complete) {
-  MOTEUR_REQUIRE(!bindings.empty(), InternalError, "execute with no bindings");
-  Routed routed = route_submission();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++in_flight_;
-  }
-  const double submit_time = now();
-  pool_.post([this, service = std::move(service), bindings = std::move(bindings),
-              on_complete = std::move(on_complete), submit_time,
-              routed = std::move(routed)]() mutable {
-    Outcome outcome =
-        run_payload(service, bindings, submit_time, routed.host, routed.inject_fault);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      completed_.push_back(Done{std::move(outcome), std::move(on_complete)});
-      --in_flight_;
-    }
-    cv_.notify_all();
-  });
-}
-
-ExecutionBackend::TimerId ThreadedBackend::schedule(double delay_seconds,
-                                                    std::function<void()> fn) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(std::max(0.0, delay_seconds)));
-  TimerId id;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    id = next_timer_++;
-    timers_.emplace(id, Timer{deadline, std::move(fn)});
-  }
-  cv_.notify_all();
-  return id;
-}
-
-void ThreadedBackend::cancel(TimerId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  timers_.erase(id);
-}
-
-void ThreadedBackend::notify() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    wake_ = true;
-  }
-  cv_.notify_all();
-}
-
-bool ThreadedBackend::drive(const std::function<bool()>& done) {
-  while (!done()) {
-    Done next;
-    std::function<void()> due_timer;
-    bool woke = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      for (;;) {
-        // An external notify() means the caller's done() predicate may have
-        // changed: surface it before waiting on backend work.
-        if (wake_) {
-          wake_ = false;
-          woke = true;
-          break;
-        }
-        if (!completed_.empty()) break;
-        // Earliest timer deadline bounds the wait; a due timer fires here,
-        // on the drive thread, like a completion.
-        auto earliest = timers_.end();
-        for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-          if (earliest == timers_.end() || it->second.deadline < earliest->second.deadline) {
-            earliest = it;
-          }
-        }
-        if (earliest != timers_.end() &&
-            earliest->second.deadline <= std::chrono::steady_clock::now()) {
-          due_timer = std::move(earliest->second.fn);
-          timers_.erase(earliest);
-          break;
-        }
-        if (in_flight_ == 0 && earliest == timers_.end()) return false;  // stall
-        if (earliest != timers_.end()) {
-          cv_.wait_until(lock, earliest->second.deadline);
-        } else {
-          cv_.wait(lock,
-                   [this] { return wake_ || !completed_.empty() || in_flight_ == 0; });
-        }
-      }
-      if (!woke && !due_timer && !completed_.empty()) {
-        next = std::move(completed_.front());
-        completed_.pop_front();
-      }
-    }
-    if (woke) continue;  // re-evaluate done()
-    if (due_timer) {
-      due_timer();
-    } else {
-      record_metrics(next.outcome);
-      next.callback(std::move(next.outcome));
-    }
-  }
-  return true;
-}
-
 void ThreadedBackend::record_metrics(const Outcome& outcome) {
   if (metrics_ == nullptr) return;
   std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -258,15 +149,15 @@ void ThreadedBackend::record_metrics(const Outcome& outcome) {
       .observe(std::max(0.0, outcome.start_time - outcome.submit_time));
 }
 
-/// One independent completion lane over the parent's worker pool. The
-/// consumer (one engine shard) calls execute/schedule/cancel/drive from a
-/// single thread; producers are pool workers pushing completions into the
-/// MPSC queue, plus any thread calling notify(). Timers and the outstanding
-/// count are consumer-private — no lock — because every mutation happens on
-/// the shard thread.
-class ThreadedBackend::Channel final : public ExecutionBackend {
+/// One completion lane over the backend's worker pool: the backend drives
+/// one of its own, and make_channel() hands out more. The consumer calls
+/// execute/schedule/cancel/drive from a single thread; producers are pool
+/// workers pushing completions into the MPSC queue, plus any thread calling
+/// notify(). Timers and the outstanding count are consumer-private — no
+/// lock — because every mutation happens on the drive thread.
+class ThreadedBackend::Lane final : public ExecutionBackend {
  public:
-  explicit Channel(ThreadedBackend& parent) : parent_(parent) {}
+  explicit Lane(ThreadedBackend& parent) : parent_(parent) {}
 
   void execute(std::shared_ptr<services::Service> service,
                std::vector<services::Inputs> bindings, Callback on_complete) override {
@@ -274,13 +165,17 @@ class ThreadedBackend::Channel final : public ExecutionBackend {
     Routed routed = parent_.route_submission();
     ++outstanding_;
     const double submit_time = parent_.now();
-    parent_.pool_.post([this, service = std::move(service),
+    // The task shares the completion queue rather than pointing at the lane,
+    // so a lane destroyed mid-task leaves the push a live target; the
+    // undispatched completion is dropped with the queue. The parent outlives
+    // the task because ~ThreadedBackend joins the pool first.
+    parent_.pool_.post([&parent = parent_, queue = queue_, service = std::move(service),
                         bindings = std::move(bindings),
                         on_complete = std::move(on_complete), submit_time,
                         routed = std::move(routed)]() mutable {
-      Outcome outcome = parent_.run_payload(service, bindings, submit_time, routed.host,
-                                            routed.inject_fault);
-      queue_.push(Done{std::move(outcome), std::move(on_complete)});
+      Outcome outcome = parent.run_payload(service, bindings, submit_time, routed.host,
+                                           routed.inject_fault);
+      queue->push(Done{std::move(outcome), std::move(on_complete)});
     });
   }
 
@@ -325,13 +220,13 @@ class ThreadedBackend::Channel final : public ExecutionBackend {
         next.callback(std::move(next.outcome));
         continue;
       }
-      if (queue_.drain(ready_) > 0) continue;
+      if (queue_->drain(ready_) > 0) continue;
       if (outstanding_ == 0 && timers_.empty()) return false;  // stall
       std::optional<std::chrono::steady_clock::time_point> deadline;
       if (earliest != timers_.end()) deadline = earliest->second.deadline;
       // Woken by an item or a notify(): loop to re-evaluate done(). Deadline
       // expiry loops back to fire the due timer.
-      queue_.wait(deadline);
+      queue_->wait(deadline);
     }
     return true;
   }
@@ -341,20 +236,53 @@ class ThreadedBackend::Channel final : public ExecutionBackend {
   void add_health(grid::CeHealth* health) override { parent_.add_health(health); }
   void remove_health(grid::CeHealth* health) override { parent_.remove_health(health); }
 
-  void notify() override { queue_.notify(); }
+  void notify() override { queue_->notify(); }
 
  private:
+  struct Done {
+    Outcome outcome;
+    Callback callback;
+  };
+  struct Timer {
+    std::chrono::steady_clock::time_point deadline;
+    std::function<void()> fn;
+  };
+
   ThreadedBackend& parent_;
-  MpscQueue<Done> queue_;
+  std::shared_ptr<MpscQueue<Done>> queue_ = std::make_shared<MpscQueue<Done>>();
   std::vector<Done> ready_;     // drained batch awaiting dispatch
   std::size_t next_ready_ = 0;  // dispatch cursor into ready_
-  std::map<TimerId, Timer> timers_;
+  std::map<TimerId, Timer> timers_;  // few enough that a flat scan is fine
   TimerId next_timer_ = 1;
   std::size_t outstanding_ = 0;  // submissions not yet dispatched back
 };
 
+ThreadedBackend::ThreadedBackend(std::size_t threads)
+    : epoch_(std::chrono::steady_clock::now()),
+      lane_(std::make_unique<Lane>(*this)),
+      pool_(threads) {}
+
+ThreadedBackend::~ThreadedBackend() = default;
+
+void ThreadedBackend::execute(std::shared_ptr<services::Service> service,
+                              std::vector<services::Inputs> bindings,
+                              Callback on_complete) {
+  lane_->execute(std::move(service), std::move(bindings), std::move(on_complete));
+}
+
+ExecutionBackend::TimerId ThreadedBackend::schedule(double delay_seconds,
+                                                    std::function<void()> fn) {
+  return lane_->schedule(delay_seconds, std::move(fn));
+}
+
+void ThreadedBackend::cancel(TimerId id) { lane_->cancel(id); }
+
+bool ThreadedBackend::drive(const std::function<bool()>& done) { return lane_->drive(done); }
+
+void ThreadedBackend::notify() { lane_->notify(); }
+
 std::unique_ptr<ExecutionBackend> ThreadedBackend::make_channel() {
-  return std::make_unique<Channel>(*this);
+  return std::make_unique<Lane>(*this);
 }
 
 }  // namespace moteur::enactor

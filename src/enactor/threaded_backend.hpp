@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,17 +21,17 @@ namespace moteur::enactor {
 /// services need to be implemented at the workflow enactor level, by
 /// spawning independent system threads for each processor being executed".
 ///
-/// Services compute in workers; completions are queued and delivered to the
-/// single-threaded enactor core from drive(), so enactor state needs no
-/// locking. Timers (retry watchdogs, backoff delays) are kept in a deadline
-/// queue and also fire on the drive() thread.
+/// Services compute in workers; completions travel through a completion
+/// lane — an MPSC queue plus a timer wheel — and are delivered to the
+/// single-threaded enactor core from the lane's drive(), so enactor state
+/// needs no locking. Timers (retry watchdogs, backoff delays) also fire on
+/// the drive() thread, due timers before drained completions.
 ///
-/// make_channel() opens additional, independently driven completion lanes
-/// over the same worker pool: each channel owns an MPSC completion queue and
-/// timer wheel of its own, so N engine shards can each run a private event
-/// loop while sharing the workers, the host-routing state (now guarded by a
-/// routing mutex), and the clock. Without channels the backend behaves
-/// exactly as before — one drive() thread, no contention.
+/// The backend drives a lane of its own: execute/schedule/cancel/drive/
+/// notify forward to it. make_channel() opens further, independently driven
+/// lanes over the same worker pool, so N engine shards can each run a
+/// private event loop while sharing the workers, the host-routing state
+/// (guarded by a routing mutex), the metrics sink and the clock.
 ///
 /// A service exception is reported as a kTransient outcome: the enactor's
 /// RetryPolicy decides whether to re-invoke (default: no retries, so the
@@ -42,6 +40,9 @@ class ThreadedBackend : public ExecutionBackend {
  public:
   /// `threads` = 0 picks the hardware concurrency.
   explicit ThreadedBackend(std::size_t threads = 0);
+  /// Drains and joins the worker pool first: tasks still running finish
+  /// against live members, and their undispatched completions are dropped.
+  ~ThreadedBackend() override;
 
   void execute(std::shared_ptr<services::Service> service,
                std::vector<services::Inputs> bindings, Callback on_complete) override;
@@ -83,25 +84,17 @@ class ThreadedBackend : public ExecutionBackend {
   /// done() predicate is re-evaluated (RunService pushes commands this way).
   void notify() override;
 
-  /// Open an independent completion lane for one engine shard (see
+  /// Open a further completion lane for one engine shard (see
   /// ExecutionBackend::make_channel). The channel must not outlive this
-  /// backend.
+  /// backend; destroying it with tasks in flight drops their completions.
   std::unique_ptr<ExecutionBackend> make_channel() override;
 
   std::size_t tasks_executed() const { return tasks_executed_.load(); }
 
  private:
-  class Channel;
-  friend class Channel;
+  class Lane;
+  friend class Lane;
 
-  struct Done {
-    Outcome outcome;
-    Callback callback;
-  };
-  struct Timer {
-    std::chrono::steady_clock::time_point deadline;
-    std::function<void()> fn;
-  };
   /// One routing decision, taken on the submitting thread under route_mu_ so
   /// host assignment and fault draws stay deterministic per submission order.
   struct Routed {
@@ -110,8 +103,8 @@ class ThreadedBackend : public ExecutionBackend {
   };
 
   Routed route_submission();
-  /// Run the payload on a worker thread; shared by the backend's own lane
-  /// and every channel. Increments tasks_executed_.
+  /// Run the payload on a worker thread; shared by every lane. Increments
+  /// tasks_executed_.
   Outcome run_payload(const std::shared_ptr<services::Service>& service,
                       const std::vector<services::Inputs>& bindings, double submit_time,
                       const std::string& host, bool inject_fault);
@@ -120,7 +113,6 @@ class ThreadedBackend : public ExecutionBackend {
   /// plain round-robin when every breaker is open.
   const std::string& pick_host();
 
-  ThreadPool pool_;
   obs::MetricsRegistry* metrics_ = nullptr;  // set before enacting
   std::mutex metrics_mu_;                    // serializes recording across drive threads
   std::mutex route_mu_;                      // guards hosts_/health_/fault state
@@ -133,14 +125,11 @@ class ThreadedBackend : public ExecutionBackend {
   std::unique_ptr<Rng> fault_rng_;  // drawn in route_submission(), under route_mu_
   std::size_t next_host_ = 0;
   std::chrono::steady_clock::time_point epoch_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Done> completed_;
-  std::map<TimerId, Timer> timers_;  // few enough that a flat scan is fine
-  TimerId next_timer_ = 1;
-  std::size_t in_flight_ = 0;
   std::atomic<std::size_t> tasks_executed_{0};
-  bool wake_ = false;  // set by notify(); consumed inside drive()
+  std::unique_ptr<Lane> lane_;  // the backend's own completion lane
+  /// Declared last, so destroyed first: ~ThreadPool drains and joins the
+  /// workers while every member a task touches is still alive.
+  ThreadPool pool_;
 };
 
 }  // namespace moteur::enactor

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
+#include <thread>
 
 #include "data/dataset.hpp"
 #include "enactor/enactor.hpp"
@@ -242,6 +244,45 @@ TEST(ThreadedStress, ContinuePolicySurvivesATotalHostFailure) {
   EXPECT_EQ(result.failure_report.lost.size(), 10u);
   EXPECT_EQ(result.failure_report.skipped.size(), 10u);
   EXPECT_EQ(result.failure_report.poisoned_at_sink.at("sink"), 10u);
+}
+
+// A lane destroyed while a worker still runs one of its service calls: the
+// task must finish without touching freed lane state, and its completion,
+// never dispatched, is dropped rather than delivered.
+std::shared_ptr<services::Service> sleeping_service(std::shared_ptr<std::atomic<bool>> finished) {
+  return std::make_shared<services::FunctionalService>(
+      "sleeper", std::vector<std::string>{}, std::vector<std::string>{"out"},
+      [finished](const services::Inputs&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        finished->store(true);
+        services::Result r;
+        r.outputs["out"] = services::OutputValue{1, "1"};
+        return r;
+      });
+}
+
+TEST(ThreadedStress, DestroyingBackendWithTaskInFlight) {
+  auto finished = std::make_shared<std::atomic<bool>>(false);
+  bool delivered = false;
+  auto backend = std::make_unique<enactor::ThreadedBackend>(1);
+  backend->execute(sleeping_service(finished), {services::Inputs{}},
+                   [&delivered](enactor::Outcome) { delivered = true; });
+  backend.reset();  // joins the worker mid-call
+  EXPECT_TRUE(finished->load());
+  EXPECT_FALSE(delivered);
+}
+
+TEST(ThreadedStress, DestroyingChannelWithTaskInFlight) {
+  auto finished = std::make_shared<std::atomic<bool>>(false);
+  bool delivered = false;
+  auto backend = std::make_unique<enactor::ThreadedBackend>(1);
+  auto channel = backend->make_channel();
+  channel->execute(sleeping_service(finished), {services::Inputs{}},
+                   [&delivered](enactor::Outcome) { delivered = true; });
+  channel.reset();  // the worker is still mid-call
+  backend.reset();  // lets the task push its completion, then joins it
+  EXPECT_TRUE(finished->load());
+  EXPECT_FALSE(delivered);
 }
 
 // ---------------------------------------------------------------------------

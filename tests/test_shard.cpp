@@ -97,6 +97,79 @@ TEST(MpscQueue, WaitHonorsDeadline) {
 }
 
 // ---------------------------------------------------------------------------
+// ThreadedBackend completion lanes
+// ---------------------------------------------------------------------------
+
+// The backend's own lane and a make_channel() lane honour one contract.
+class ThreadedLane : public ::testing::TestWithParam<bool> {
+ protected:
+  enactor::ThreadedBackend backend{2};
+  std::unique_ptr<enactor::ExecutionBackend> channel =
+      GetParam() ? backend.make_channel() : nullptr;
+  enactor::ExecutionBackend& lane() { return channel ? *channel : backend; }
+};
+
+TEST_P(ThreadedLane, DrivesTimersNotifyAndCompletionsOnTheDriveThread) {
+  enactor::ExecutionBackend& lane = this->lane();
+  const std::thread::id drive_thread = std::this_thread::get_id();
+
+  // Nothing outstanding, no live timer: drive() reports the stall.
+  EXPECT_FALSE(lane.drive([] { return false; }));
+
+  // A due timer fires on the drive thread; a cancelled one never fires,
+  // even though it was due first.
+  bool cancelled_fired = false;
+  std::thread::id timer_thread;
+  const auto cancelled = lane.schedule(0.0, [&] { cancelled_fired = true; });
+  lane.schedule(0.01, [&] { timer_thread = std::this_thread::get_id(); });
+  lane.cancel(cancelled);
+  EXPECT_TRUE(lane.drive([&] { return timer_thread != std::thread::id{}; }));
+  EXPECT_EQ(timer_thread, drive_thread);
+  EXPECT_FALSE(cancelled_fired);
+  EXPECT_FALSE(lane.drive([] { return false; }));
+
+  // notify() from another thread wakes a drive() blocked behind a distant
+  // timer, so done() is re-evaluated long before the timer is due.
+  std::atomic<bool> flag{false};
+  const auto distant = lane.schedule(60.0, [] {});
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    flag = true;
+    lane.notify();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(lane.drive([&] { return flag.load(); }));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
+  waker.join();
+  lane.cancel(distant);
+
+  // The service runs on a worker; its completion callback on the drive thread.
+  std::thread::id worker_thread;
+  std::thread::id callback_thread;
+  auto service = std::make_shared<FunctionalService>(
+      "P", std::vector<std::string>{}, std::vector<std::string>{"out"},
+      [&worker_thread](const Inputs&) {
+        worker_thread = std::this_thread::get_id();
+        Result r;
+        r.outputs["out"] = services::OutputValue{1, "1"};
+        return r;
+      });
+  lane.execute(service, {Inputs{}}, [&](enactor::Outcome outcome) {
+    EXPECT_TRUE(outcome.ok());
+    callback_thread = std::this_thread::get_id();
+  });
+  EXPECT_TRUE(lane.drive([&] { return callback_thread != std::thread::id{}; }));
+  EXPECT_EQ(callback_thread, drive_thread);
+  EXPECT_NE(worker_thread, drive_thread);
+  EXPECT_FALSE(lane.drive([] { return false; }));
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, ThreadedLane, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Channel" : "Backend";
+                         });
+
+// ---------------------------------------------------------------------------
 // RunHandle API
 // ---------------------------------------------------------------------------
 

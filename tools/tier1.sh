@@ -4,7 +4,8 @@
 #   tools/tier1.sh          build + ctest (the ROADMAP tier-1 command)
 #   tools/tier1.sh --tsan   additionally rebuild the enactor-labelled tests
 #                           under -fsanitize=thread and run them
-#                           (ThreadedBackend races surface here)
+#                           (ThreadedBackend lane races surface here, in
+#                           the ThreadedStress suite among others)
 #   tools/tier1.sh --asan   additionally rebuild the fault-labelled tests and
 #                           moteur_cli under -fsanitize=address,undefined and
 #                           run them (retry/breaker/poisoned-token paths, and
@@ -431,7 +432,7 @@ if [ "${1:-}" = "--tsan" ]; then
   cmake -B build-tsan -S . -DMOTEUR_TSAN=ON >/dev/null
   cmake --build build-tsan -j --target test_enactor test_enactor_edge test_progress \
     test_retry test_run_service test_shard test_telemetry test_policy test_transfer \
-    moteur_cli
+    test_robustness moteur_cli
   (cd build-tsan && ctest --output-on-failure -L enactor)
   echo "== TSan multi-tenant smoke: concurrent runs through the RunService =="
   build-tsan/tools/moteur_cli run \
@@ -445,7 +446,7 @@ if [ "${1:-}" = "--asan" ]; then
   echo "== ASan stage: fault-containment tests under -fsanitize=address,undefined =="
   cmake -B build-asan -S . -DMOTEUR_ASAN=ON >/dev/null
   cmake --build build-asan -j --target test_retry test_robustness test_datastore \
-    moteur_cli
+    test_transfer moteur_cli
   (cd build-asan && ctest --output-on-failure -L fault)
   echo "== ASan CLI stage: command lines from outside the program =="
   (cd build-asan && ctest --output-on-failure -L cli)
