@@ -38,7 +38,7 @@ Engine::Engine(ExecutionBackend& backend, services::ServiceRegistry& registry,
                   ? workflow::group_sequential_processors(workflow, &result_.grouping)
                   : workflow;
   if (!policy_.placement.empty() && policy_.placement != policy::kDefaultPlacement) {
-    placement_ = policy::PolicyRegistry::instance().make_placement(policy_.placement);
+    placement_ = policy::PolicyRegistry::instance().placement.make(policy_.placement);
   }
   result_.run_id = run_id_;
 }

@@ -1,10 +1,17 @@
 #include "enactor/manifest.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "policy/registry.hpp"
 #include "util/error.hpp"
+#include "util/flags.hpp"
+#include "util/strings.hpp"
 #include "workflow/scufl.hpp"
+#include "xml/xml.hpp"
 
 namespace moteur::enactor {
 
@@ -25,209 +32,199 @@ grid::GridConfig RunManifest::make_grid_config() const {
   return config;
 }
 
-void write_policy(xml::Node& node, const EnactmentPolicy& policy) {
-  node.set_attribute("config", policy.name());
-  if (policy.data_parallelism_cap != 0) {
-    node.set_attribute("cap", std::to_string(policy.data_parallelism_cap));
+namespace {
+
+using Text = std::optional<std::string>;
+using Policy = EnactmentPolicy;
+using grid::BreakerPolicy;
+using policy::PolicyRegistry;
+
+std::string to_text(std::size_t value) { return std::to_string(value); }
+std::string to_text(double value) { return format_shortest(value); }
+std::string to_text(bool value) { return value ? "true" : "false"; }
+std::string to_text(const std::string& value) { return value; }
+std::string to_text(FailurePolicy value) { return to_string(value); }
+
+/// One attribute of a manifest element: its name, its text in a written
+/// manifest (none where the element leaves it out) and a checked setter.
+template <class T>
+struct Attr {
+  const char* name;
+  std::function<Text(const T&)> write;
+  std::function<void(T&, const FlagValue&)> read;
+};
+
+/// A child element of <run> and its attributes, in the order they are read
+/// and written.
+template <class T>
+struct Element {
+  const char* name;
+  std::vector<Attr<T>> attrs;
+};
+
+/// The attribute holding the field at `first.*rest...` of T: left out while
+/// the field holds its default value, read with the checked parser `parse`
+/// (a FlagValue member or a callable taking a FlagValue).
+template <class Parse, class T, class M, class... Path>
+Attr<T> field(const char* name, Parse parse, M T::*first, Path... rest) {
+  const auto at = [=](auto& t) -> auto& { return ((t.*first) .* ... .* rest); };
+  return {name,
+          [at](const T& t) {
+            static const T defaults{};
+            return at(t) == at(defaults) ? Text{} : Text{to_text(at(t))};
+          },
+          [at, parse](T& t, const FlagValue& v) { at(t) = std::invoke(parse, v); }};
+}
+
+/// A circuit-breaker attribute: written while the breaker is on, and reading
+/// any one of them switches it on.
+template <class Parse, class M>
+Attr<Policy> breaker(const char* name, Parse parse, M BreakerPolicy::*member) {
+  return {name,
+          [member](const Policy& p) {
+            return p.breaker.enabled ? Text{to_text(p.breaker.*member)} : Text{};
+          },
+          [member, parse](Policy& p, const FlagValue& v) {
+            p.breaker.enabled = true;
+            p.breaker.*member = std::invoke(parse, v);
+          }};
+}
+
+/// The checked parser of a name from the registry's `family`.
+template <class Family>
+auto known_in(const Family PolicyRegistry::*family) {
+  return [family](const FlagValue& v) {
+    return (PolicyRegistry::instance().*family).check(v.text, v.flag);
+  };
+}
+
+const Element<Policy> kPolicy{
+    "policy",
+    {// First: it resets the policy to the named Table 1 configuration.
+     {"config", [](const Policy& p) -> Text { return p.name(); },
+      [](Policy& p, const FlagValue& v) { p = Policy::parse(v.text, v.flag); }},
+     field("cap", &FlagValue::count, &Policy::data_parallelism_cap),
+     field("batch", &FlagValue::positive_count, &Policy::batch_size),
+     field("adaptiveBatching", &FlagValue::boolean, &Policy::adaptive_batching),
+     field("overheadFractionTarget", &FlagValue::fraction,
+           &Policy::overhead_fraction_target),
+     field("maxBatch", &FlagValue::positive_count, &Policy::max_batch),
+     field("retryAttempts", &FlagValue::positive_count, &Policy::retry,
+           &RetryPolicy::max_attempts),
+     field("retryTimeoutMultiplier", &FlagValue::nonnegative_real, &Policy::retry,
+           &RetryPolicy::timeout_multiplier),
+     field("retryTimeoutMinSamples", &FlagValue::positive_count, &Policy::retry,
+           &RetryPolicy::timeout_min_samples),
+     field("retryBackoffInitial", &FlagValue::nonnegative_seconds, &Policy::retry,
+           &RetryPolicy::backoff_initial_seconds),
+     field("retryBackoffFactor", &FlagValue::nonnegative_real, &Policy::retry,
+           &RetryPolicy::backoff_factor),
+     field("failurePolicy",
+           [](const FlagValue& v) { return parse_failure_policy(v.text, v.flag); },
+           &Policy::failure_policy),
+     breaker("breakerWindow", &FlagValue::positive_count, &BreakerPolicy::window),
+     breaker("breakerThreshold", &FlagValue::positive_count, &BreakerPolicy::threshold),
+     breaker("breakerCooldown", &FlagValue::positive_seconds,
+             &BreakerPolicy::cooldown_seconds),
+     field("cache", &FlagValue::boolean, &Policy::cache),
+     field("dataAware", &FlagValue::boolean, &Policy::data_aware),
+     field("matchmaking", known_in(&PolicyRegistry::matchmaking), &Policy::matchmaking),
+     field("placement", known_in(&PolicyRegistry::placement), &Policy::placement),
+     field("replicaPolicy", known_in(&PolicyRegistry::replica),
+           &Policy::replica_policy),
+     field("admission", known_in(&PolicyRegistry::admission), &Policy::admission),
+     field("replication", known_in(&PolicyRegistry::replication), &Policy::replication),
+     field("lineageRecovery", &FlagValue::boolean, &Policy::lineage_recovery),
+     field("recoveryDepth", &FlagValue::positive_count, &Policy::max_recovery_depth)}};
+
+const Element<RunManifest> kGrid{
+    "grid",
+    {// Every manifest names its grid and seed; make_grid_config checks the preset.
+     {"preset", [](const RunManifest& m) -> Text { return m.grid_preset; },
+      [](RunManifest& m, const FlagValue& v) { m.grid_preset = v.text; }},
+     {"seed", [](const RunManifest& m) -> Text { return to_text(m.seed); },
+      [](RunManifest& m, const FlagValue& v) { m.seed = v.count(); }},
+     field("overhead", &FlagValue::nonnegative_seconds,
+           &RunManifest::constant_overhead_seconds),
+     field("nodes", &FlagValue::positive_count, &RunManifest::cluster_nodes),
+     field("orchestratorBw", &FlagValue::nonnegative_real,
+           &RunManifest::orchestrator_bandwidth_mbps)}};
+
+const Element<RunManifest> kService{
+    "service",
+    {field("shards", &FlagValue::positive_count, &RunManifest::shards),
+     field("pinPolicy",
+           [](const FlagValue& v) {
+             MOTEUR_REQUIRE(
+                 v.text == "hash" || v.text == "least-loaded", ParseError,
+                 v.flag + " must be hash | least-loaded (got '" + v.text + "')");
+             return v.text;
+           },
+           &RunManifest::pin_policy)}};
+
+template <class T>
+void write(xml::Node& run, const Element<T>& element, const T& source) {
+  auto node = std::make_unique<xml::Node>(element.name);
+  for (const Attr<T>& attr : element.attrs) {
+    if (const Text text = attr.write(source)) node->set_attribute(attr.name, *text);
   }
-  if (policy.batch_size != 1) {
-    node.set_attribute("batch", std::to_string(policy.batch_size));
+  if (!node->attributes().empty()) run.adopt(std::move(node));
+}
+
+/// Apply the attributes of `run`'s `element` child, if any, in table order.
+template <class T>
+void read(const xml::Node& run, const Element<T>& element, T& target) {
+  const xml::Node* node = run.child(element.name);
+  if (node == nullptr) return;
+  std::vector<std::string> known;
+  for (const Attr<T>& attr : element.attrs) known.emplace_back(attr.name);
+  for (const auto& [key, value] : node->attributes()) {
+    MOTEUR_REQUIRE(std::find(known.begin(), known.end(), key) != known.end(), ParseError,
+                   "<" + node->name() + "> has unknown attribute '" + key +
+                       "' (known: " + join(known, ", ") + ")");
   }
-  if (policy.adaptive_batching) {
-    node.set_attribute("adaptiveBatching", "true");
-    node.set_attribute("overheadFractionTarget",
-                       std::to_string(policy.overhead_fraction_target));
-    node.set_attribute("maxBatch", std::to_string(policy.max_batch));
-  }
-  if (policy.retry.retries_enabled()) {
-    node.set_attribute("retryAttempts", std::to_string(policy.retry.max_attempts));
-    if (policy.retry.timeout_multiplier > 0.0) {
-      node.set_attribute("retryTimeoutMultiplier",
-                         std::to_string(policy.retry.timeout_multiplier));
-      node.set_attribute("retryTimeoutMinSamples",
-                         std::to_string(policy.retry.timeout_min_samples));
+  for (const Attr<T>& attr : element.attrs) {
+    if (const auto text = node->attribute(attr.name)) {
+      attr.read(target, {*text, node->name() + " " + attr.name + " attribute"});
     }
-    if (policy.retry.backoff_initial_seconds > 0.0) {
-      node.set_attribute("retryBackoffInitial",
-                         std::to_string(policy.retry.backoff_initial_seconds));
-      node.set_attribute("retryBackoffFactor",
-                         std::to_string(policy.retry.backoff_factor));
-    }
-  }
-  if (policy.failure_policy != FailurePolicy::kFailFast) {
-    node.set_attribute("failurePolicy", to_string(policy.failure_policy));
-  }
-  if (policy.breaker.enabled) {
-    node.set_attribute("breakerWindow", std::to_string(policy.breaker.window));
-    node.set_attribute("breakerThreshold", std::to_string(policy.breaker.threshold));
-    node.set_attribute("breakerCooldown", std::to_string(policy.breaker.cooldown_seconds));
-  }
-  if (policy.cache) node.set_attribute("cache", "true");
-  if (policy.data_aware) node.set_attribute("dataAware", "true");
-  if (!policy.matchmaking.empty()) node.set_attribute("matchmaking", policy.matchmaking);
-  if (!policy.placement.empty()) node.set_attribute("placement", policy.placement);
-  if (!policy.replica_policy.empty()) {
-    node.set_attribute("replicaPolicy", policy.replica_policy);
-  }
-  if (!policy.admission.empty()) node.set_attribute("admission", policy.admission);
-  if (!policy.replication.empty()) {
-    node.set_attribute("replication", policy.replication);
   }
 }
 
-EnactmentPolicy read_policy(const xml::Node& node) {
-  EnactmentPolicy policy = EnactmentPolicy::parse(node.attribute("config").value_or("NOP"));
-  if (const auto cap = node.attribute("cap")) {
-    policy.data_parallelism_cap = static_cast<std::size_t>(std::stoul(*cap));
-  }
-  if (const auto batch = node.attribute("batch")) {
-    policy.batch_size = static_cast<std::size_t>(std::stoul(*batch));
-    MOTEUR_REQUIRE(policy.batch_size >= 1, ParseError, "batch must be >= 1");
-  }
-  if (const auto adaptive = node.attribute("adaptiveBatching")) {
-    policy.adaptive_batching = *adaptive == "true" || *adaptive == "1";
-  }
-  if (const auto fraction = node.attribute("overheadFractionTarget")) {
-    policy.overhead_fraction_target = std::stod(*fraction);
-  }
-  if (const auto max_batch = node.attribute("maxBatch")) {
-    policy.max_batch = static_cast<std::size_t>(std::stoul(*max_batch));
-  }
-  if (const auto attempts = node.attribute("retryAttempts")) {
-    policy.retry.max_attempts = static_cast<std::size_t>(std::stoul(*attempts));
-    MOTEUR_REQUIRE(policy.retry.max_attempts >= 1, ParseError,
-                   "retryAttempts must be >= 1");
-  }
-  if (const auto multiplier = node.attribute("retryTimeoutMultiplier")) {
-    policy.retry.timeout_multiplier = std::stod(*multiplier);
-  }
-  if (const auto samples = node.attribute("retryTimeoutMinSamples")) {
-    policy.retry.timeout_min_samples = static_cast<std::size_t>(std::stoul(*samples));
-  }
-  if (const auto initial = node.attribute("retryBackoffInitial")) {
-    policy.retry.backoff_initial_seconds = std::stod(*initial);
-  }
-  if (const auto factor = node.attribute("retryBackoffFactor")) {
-    policy.retry.backoff_factor = std::stod(*factor);
-  }
-  if (const auto failure = node.attribute("failurePolicy")) {
-    policy.failure_policy = parse_failure_policy(*failure);
-  }
-  if (const auto cache = node.attribute("cache")) {
-    policy.cache = *cache == "true" || *cache == "1";
-  }
-  if (const auto aware = node.attribute("dataAware")) {
-    policy.data_aware = *aware == "true" || *aware == "1";
-  }
-  const policy::PolicyRegistry& registry = policy::PolicyRegistry::instance();
-  if (const auto matchmaking = node.attribute("matchmaking")) {
-    policy.matchmaking =
-        registry.check_matchmaking(*matchmaking, "policy matchmaking attribute");
-  }
-  if (const auto placement = node.attribute("placement")) {
-    policy.placement = registry.check_placement(*placement, "policy placement attribute");
-  }
-  if (const auto replica = node.attribute("replicaPolicy")) {
-    policy.replica_policy =
-        registry.check_replica(*replica, "policy replicaPolicy attribute");
-  }
-  if (const auto admission = node.attribute("admission")) {
-    policy.admission =
-        registry.check_admission(*admission, "policy admission attribute");
-  }
-  if (const auto replication = node.attribute("replication")) {
-    policy.replication =
-        registry.check_replication(*replication, "policy replication attribute");
-  }
-  if (const auto window = node.attribute("breakerWindow")) {
-    policy.breaker.enabled = true;
-    policy.breaker.window = static_cast<std::size_t>(std::stoul(*window));
-    MOTEUR_REQUIRE(policy.breaker.window >= 1, ParseError, "breakerWindow must be >= 1");
-  }
-  if (const auto threshold = node.attribute("breakerThreshold")) {
-    policy.breaker.enabled = true;
-    policy.breaker.threshold = static_cast<std::size_t>(std::stoul(*threshold));
-    MOTEUR_REQUIRE(policy.breaker.threshold >= 1, ParseError,
-                   "breakerThreshold must be >= 1");
-  }
-  if (const auto cooldown = node.attribute("breakerCooldown")) {
-    policy.breaker.enabled = true;
-    policy.breaker.cooldown_seconds = std::stod(*cooldown);
-  }
-  return policy;
-}
+}  // namespace
 
 std::string RunManifest::to_xml() const {
-  auto root = std::make_unique<xml::Node>("run");
-
-  auto& policy_node = root->add_child("policy");
-  write_policy(policy_node, policy);
-
-  auto& grid_node = root->add_child("grid");
-  grid_node.set_attribute("preset", grid_preset);
-  grid_node.set_attribute("seed", std::to_string(seed));
-  if (grid_preset == "constant") {
-    grid_node.set_attribute("overhead", std::to_string(constant_overhead_seconds));
-  }
-  if (grid_preset == "cluster") {
-    grid_node.set_attribute("nodes", std::to_string(cluster_nodes));
-  }
-  if (orchestrator_bandwidth_mbps > 0.0) {
-    grid_node.set_attribute("orchestratorBw", std::to_string(orchestrator_bandwidth_mbps));
-  }
-
-  if (shards != 1 || pin_policy != "hash") {
-    auto& service_node = root->add_child("service");
-    service_node.set_attribute("shards", std::to_string(shards));
-    service_node.set_attribute("pinPolicy", pin_policy);
-  }
-
+  auto run = std::make_unique<xml::Node>("run");
+  write(*run, kPolicy, policy);
+  write(*run, kGrid, *this);
+  write(*run, kService, *this);
   // Embed the workflow and data-set documents (their roots become children).
-  root->adopt(xml::parse(workflow::to_scufl(workflow)).take_root());
-  root->adopt(xml::parse(inputs.to_xml()).take_root());
-  return xml::Document(std::move(root)).to_string();
+  run->adopt(xml::parse(workflow::to_scufl(workflow)).take_root());
+  run->adopt(xml::parse(inputs.to_xml()).take_root());
+  return xml::Document(std::move(run)).to_string();
 }
 
 RunManifest RunManifest::from_xml(const std::string& text) {
   const xml::Document doc = xml::parse(text);
-  MOTEUR_REQUIRE(doc.root().name() == "run", ParseError,
-                 "expected <run> root, got <" + doc.root().name() + ">");
+  const xml::Node& run = doc.root();
+  MOTEUR_REQUIRE(run.name() == "run", ParseError,
+                 "expected <run> root, got <" + run.name() + ">");
+  const std::vector<std::string> known = {kPolicy.name, kGrid.name, kService.name,
+                                          "workflow", "dataset"};
+  for (const auto& child : run.children()) {
+    MOTEUR_REQUIRE(std::find(known.begin(), known.end(), child->name()) != known.end(),
+                   ParseError,
+                   "<run> has unknown child <" + child->name() + "> (known: " +
+                       join(known, ", ") + ")");
+  }
   RunManifest manifest;
-  if (const xml::Node* policy_node = doc.root().child("policy")) {
-    manifest.policy = read_policy(*policy_node);
-  }
-  if (const xml::Node* grid_node = doc.root().child("grid")) {
-    manifest.grid_preset = grid_node->attribute("preset").value_or("egee2006");
-    if (const auto seed = grid_node->attribute("seed")) {
-      manifest.seed = std::stoull(*seed);
-    }
-    if (const auto overhead = grid_node->attribute("overhead")) {
-      manifest.constant_overhead_seconds = std::stod(*overhead);
-    }
-    if (const auto nodes = grid_node->attribute("nodes")) {
-      manifest.cluster_nodes = static_cast<std::size_t>(std::stoul(*nodes));
-    }
-    if (const auto bw = grid_node->attribute("orchestratorBw")) {
-      manifest.orchestrator_bandwidth_mbps = std::stod(*bw);
-      MOTEUR_REQUIRE(manifest.orchestrator_bandwidth_mbps >= 0.0, ParseError,
-                     "orchestratorBw must be >= 0");
-    }
-  }
-  if (const xml::Node* service_node = doc.root().child("service")) {
-    if (const auto shards = service_node->attribute("shards")) {
-      manifest.shards = static_cast<std::size_t>(std::stoul(*shards));
-      MOTEUR_REQUIRE(manifest.shards >= 1, ParseError, "shards must be >= 1");
-    }
-    if (const auto pin = service_node->attribute("pinPolicy")) {
-      MOTEUR_REQUIRE(*pin == "hash" || *pin == "least-loaded", ParseError,
-                     "pinPolicy must be hash | least-loaded");
-      manifest.pin_policy = *pin;
-    }
-  }
-  const xml::Node& wf_node = doc.root().required_child("workflow");
-  manifest.workflow = workflow::from_scufl(wf_node.to_string());
-  const xml::Node& ds_node = doc.root().required_child("dataset");
-  manifest.inputs = data::InputDataSet::from_xml(ds_node.to_string());
+  // A <policy> element without a config attribute means NOP.
+  if (run.child(kPolicy.name) != nullptr) manifest.policy = EnactmentPolicy::nop();
+  read(run, kPolicy, manifest.policy);
+  read(run, kGrid, manifest);
+  read(run, kService, manifest);
+  manifest.workflow = workflow::from_scufl(run.required_child("workflow").to_string());
+  manifest.inputs =
+      data::InputDataSet::from_xml(run.required_child("dataset").to_string());
   // Validate the preset eagerly so malformed manifests fail at load time.
   manifest.make_grid_config();
   return manifest;

@@ -7,7 +7,6 @@
 #include "enactor/policy.hpp"
 #include "grid/config.hpp"
 #include "workflow/graph.hpp"
-#include "xml/xml.hpp"
 
 namespace moteur::enactor {
 
@@ -41,13 +40,12 @@ struct RunManifest {
   /// Build the configured grid.
   grid::GridConfig make_grid_config() const;
 
+  /// <run> with <policy>, <grid> and <service> elements (each attribute left
+  /// out at its default) followed by the workflow and data-set documents.
+  /// from_xml rejects unknown elements and attributes and malformed or
+  /// out-of-range values with a ParseError naming them.
   std::string to_xml() const;
   static RunManifest from_xml(const std::string& text);
 };
-
-/// Policy <-> XML element, e.g.
-/// <policy config="SP+DP" batch="1" adaptiveBatching="false" cap="0"/>.
-void write_policy(xml::Node& node, const EnactmentPolicy& policy);
-EnactmentPolicy read_policy(const xml::Node& node);
 
 }  // namespace moteur::enactor

@@ -15,11 +15,21 @@ const char* to_string(FailurePolicy p) {
   return "?";
 }
 
-FailurePolicy parse_failure_policy(const std::string& text) {
+namespace {
+
+/// "FLAG names " when a flag or attribute is given, so errors can cite it.
+std::string flag_names(const std::string& flag) {
+  return flag.empty() ? "" : flag + " names ";
+}
+
+}  // namespace
+
+FailurePolicy parse_failure_policy(const std::string& text, const std::string& flag) {
   const std::string token = trim(text);
   if (token == "failfast") return FailurePolicy::kFailFast;
   if (token == "continue") return FailurePolicy::kContinue;
-  throw ParseError("unknown failure policy '" + token + "' (expected failfast|continue)");
+  throw ParseError(flag_names(flag) + "unknown failure policy '" + token +
+                   "' (expected failfast|continue)");
 }
 
 double RetryPolicy::backoff_seconds(std::size_t next_attempt) const {
@@ -83,7 +93,7 @@ EnactmentPolicy EnactmentPolicy::sp_dp_jg() {
                          .job_grouping = true};
 }
 
-EnactmentPolicy EnactmentPolicy::parse(const std::string& text) {
+EnactmentPolicy EnactmentPolicy::parse(const std::string& text, const std::string& flag) {
   EnactmentPolicy policy = nop();
   if (trim(text) == "NOP" || trim(text).empty()) return policy;
   for (const auto& raw : split(text, '+')) {
@@ -95,7 +105,8 @@ EnactmentPolicy EnactmentPolicy::parse(const std::string& text) {
     } else if (token == "JG") {
       policy.job_grouping = true;
     } else {
-      throw ParseError("unknown enactment policy token '" + token + "'");
+      throw ParseError(flag_names(flag) + "unknown enactment policy token '" + token +
+                       "'");
     }
   }
   return policy;

@@ -17,8 +17,9 @@ namespace moteur::enactor {
 enum class FailurePolicy { kFailFast, kContinue };
 
 const char* to_string(FailurePolicy p);
-/// Parse "failfast" / "continue" (case-sensitive). Throws ParseError.
-FailurePolicy parse_failure_policy(const std::string& text);
+/// Parse "failfast" / "continue" (case-sensitive). Throws ParseError, naming
+/// `flag` when given.
+FailurePolicy parse_failure_policy(const std::string& text, const std::string& flag = {});
 
 /// Task-level fault tolerance: how the enactor reacts to transient backend
 /// failures and to the EGEE latency tail (§4.2: job latencies "ranging from
@@ -161,8 +162,9 @@ struct EnactmentPolicy {
   static EnactmentPolicy sp_dp_jg();
 
   /// Parse "NOP" / "DP" / "SP" / "JG" / "SP+DP" / "SP+DP+JG" (any order of
-  /// '+'-separated tokens). Throws ParseError on unknown tokens.
-  static EnactmentPolicy parse(const std::string& text);
+  /// '+'-separated tokens). Throws ParseError on unknown tokens, naming
+  /// `flag` when given.
+  static EnactmentPolicy parse(const std::string& text, const std::string& flag = {});
 };
 
 }  // namespace moteur::enactor

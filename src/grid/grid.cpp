@@ -89,9 +89,9 @@ Grid::Grid(sim::Simulator& simulator, GridConfig config)
   }
   for (const auto& [se_name, se] : storage_by_name_) storage_names_.push_back(se_name);
   broker_.set_default_matchmaking(config_.matchmaking_policy);
-  replica_policy_ = policy::PolicyRegistry::instance().make_replica(
+  replica_policy_ = policy::PolicyRegistry::instance().replica.make(
       config_.replica_policy.empty() ? policy::kDefaultReplica : config_.replica_policy);
-  replication_ = policy::PolicyRegistry::instance().make_replication(
+  replication_ = policy::PolicyRegistry::instance().replication.make(
       config_.replication_policy.empty() ? policy::kDefaultReplication
                                          : config_.replication_policy);
   decentralized_ = replication_->decentralized_reads();
@@ -197,7 +197,7 @@ void Grid::set_catalog(data::ReplicaCatalog* catalog) {
     }
   }
   if (bounded) {
-    catalog_->set_eviction_policy(policy::PolicyRegistry::instance().make_eviction(
+    catalog_->set_eviction_policy(policy::PolicyRegistry::instance().eviction.make(
         config_.replica_eviction_policy.empty() ? policy::kDefaultEviction
                                                 : config_.replica_eviction_policy));
   }

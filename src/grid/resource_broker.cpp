@@ -31,7 +31,7 @@ void ResourceBroker::remove_health(CeHealth* health) {
 
 void ResourceBroker::set_default_matchmaking(const std::string& name) {
   default_matchmaking_ =
-      policy::PolicyRegistry::instance().check_matchmaking(name, "matchmaking policy");
+      policy::PolicyRegistry::instance().matchmaking.check(name, "matchmaking policy");
 }
 
 policy::MatchmakingPolicy& ResourceBroker::policy_for(const std::string& name) {
@@ -39,7 +39,7 @@ policy::MatchmakingPolicy& ResourceBroker::policy_for(const std::string& name) {
   auto it = policies_.find(key);
   if (it == policies_.end()) {
     it = policies_
-             .emplace(key, policy::PolicyRegistry::instance().make_matchmaking(
+             .emplace(key, policy::PolicyRegistry::instance().matchmaking.make(
                                key, policy_rng_base_))
              .first;
   }

@@ -1,12 +1,13 @@
 #include "obs/critical_path.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
+
+#include "util/json.hpp"
 
 namespace moteur::obs {
 
@@ -19,36 +20,6 @@ const std::string* find_arg(const Span& span, const std::string& key) {
     if (k == key) return &v;
   }
   return nullptr;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
 }
 
 /// Disjoint-interval set with "add and report the newly covered length"
@@ -218,23 +189,23 @@ std::string CriticalPathReport::to_json() const {
   std::ostringstream out;
   out << "{\"run_id\":\"" << json_escape(run_id) << "\",\"run\":\"" << json_escape(run)
       << "\",\"found\":" << (found ? "true" : "false")
-      << ",\"makespan_seconds\":" << json_number(makespan) << ",\"phases\":{"
-      << "\"admission_wait\":" << json_number(admission_wait)
-      << ",\"ce_queue\":" << json_number(ce_queue)
-      << ",\"stage_in\":" << json_number(stage_in)
-      << ",\"execution\":" << json_number(execution)
-      << ",\"orchestration\":" << json_number(orchestration) << "}"
-      << ",\"attributed_seconds\":" << json_number(attributed()) << ",\"steps\":[";
+      << ",\"makespan_seconds\":" << json_fixed(makespan) << ",\"phases\":{"
+      << "\"admission_wait\":" << json_fixed(admission_wait)
+      << ",\"ce_queue\":" << json_fixed(ce_queue)
+      << ",\"stage_in\":" << json_fixed(stage_in)
+      << ",\"execution\":" << json_fixed(execution)
+      << ",\"orchestration\":" << json_fixed(orchestration) << "}"
+      << ",\"attributed_seconds\":" << json_fixed(attributed()) << ",\"steps\":[";
   bool first = true;
   for (const Step& step : steps) {
     if (!first) out << ",";
     first = false;
     out << "{\"name\":\"" << json_escape(step.name)
-        << "\",\"start\":" << json_number(step.start)
-        << ",\"end\":" << json_number(step.end)
-        << ",\"ce_queue\":" << json_number(step.ce_queue)
-        << ",\"stage_in\":" << json_number(step.stage_in)
-        << ",\"execution\":" << json_number(step.execution) << "}";
+        << "\",\"start\":" << json_fixed(step.start)
+        << ",\"end\":" << json_fixed(step.end)
+        << ",\"ce_queue\":" << json_fixed(step.ce_queue)
+        << ",\"stage_in\":" << json_fixed(step.stage_in)
+        << ",\"execution\":" << json_fixed(step.execution) << "}";
   }
   out << "]}";
   return out.str();

@@ -1,47 +1,12 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace moteur::obs {
-
-namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {
   MOTEUR_REQUIRE(capacity_ > 0, Error, "flight recorder capacity must be positive");
@@ -83,7 +48,7 @@ std::string FlightRecorder::dump_json(const std::string& run_id, const std::stri
     if (!first) out << ",";
     first = false;
     out << "\n    {\"kind\":\"" << to_string(event.kind)
-        << "\",\"time\":" << json_number(event.time) << ",\"run_id\":\""
+        << "\",\"time\":" << json_fixed(event.time) << ",\"run_id\":\""
         << json_escape(event.run_id) << "\"";
     if (!event.processor.empty()) {
       out << ",\"processor\":\"" << json_escape(event.processor) << "\"";
@@ -102,11 +67,11 @@ std::string FlightRecorder::dump_json(const std::string& run_id, const std::stri
     if (event.count != 0) out << ",\"count\":" << event.count;
     if (event.kind == RunEvent::Kind::kAttemptEnded) {
       out << ",\"ok\":" << (event.ok ? "true" : "false")
-          << ",\"submit_time\":" << json_number(event.submit_time)
-          << ",\"start_time\":" << json_number(event.start_time)
-          << ",\"end_time\":" << json_number(event.end_time);
+          << ",\"submit_time\":" << json_fixed(event.submit_time)
+          << ",\"start_time\":" << json_fixed(event.start_time)
+          << ",\"end_time\":" << json_fixed(event.end_time);
       if (event.stage_in_seconds > 0.0) {
-        out << ",\"stage_in_seconds\":" << json_number(event.stage_in_seconds);
+        out << ",\"stage_in_seconds\":" << json_fixed(event.stage_in_seconds);
       }
       if (event.superseded) out << ",\"superseded\":true";
     }

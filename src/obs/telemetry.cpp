@@ -7,12 +7,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace moteur::obs {
 
@@ -22,41 +21,6 @@ double wall_now() {
   return std::chrono::duration<double>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[32];
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::abs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.10g", value);
-  }
-  return buf;
 }
 
 void append_labels(std::ostringstream& out, const Labels& labels) {

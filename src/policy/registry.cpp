@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
-
 namespace moteur::policy {
 
 namespace {
@@ -337,246 +335,48 @@ class LruEviction : public EvictionPolicy {
   bool honor_pins_;
 };
 
-// ---------------------------------------------------------------------------
-
-std::string known(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out;
+/// Factory of a built-in policy that takes no constructor arguments.
+template <class Policy, class... Args>
+std::unique_ptr<Policy> build(Args...) {
+  return std::make_unique<Policy>();
 }
 
 }  // namespace
 
-PolicyRegistry::PolicyRegistry() {
-  register_matchmaking(kDefaultMatchmaking, [](const Rng&) {
-    return std::make_unique<QueueRankPolicy>();
-  });
-  register_matchmaking("data-gravity", [](const Rng&) {
-    return std::make_unique<DataGravityPolicy>();
-  });
-  register_matchmaking("locality-first", [](const Rng&) {
-    return std::make_unique<LocalityFirstPolicy>();
-  });
-  register_matchmaking("k-choices", [](const Rng& base) {
-    return std::make_unique<KChoicesPolicy>(base);
-  });
+PolicyRegistry::PolicyRegistry()
+    : matchmaking("matchmaking",
+                  {{kDefaultMatchmaking, build<QueueRankPolicy, const Rng&>},
+                   {"data-gravity", build<DataGravityPolicy, const Rng&>},
+                   {"locality-first", build<LocalityFirstPolicy, const Rng&>},
+                   {"k-choices",
+                    [](const Rng& base) { return std::make_unique<KChoicesPolicy>(base); }}}),
+      placement("placement", {{kDefaultPlacement, build<RematchPolicy>},
+                              {"avoid-previous", build<AvoidPreviousPolicy>},
+                              {"spread", build<SpreadPolicy>}}),
+      replica("replica",
+              {{kDefaultReplica, build<CloseSePolicy>}, {"broadcast", build<BroadcastPolicy>}}),
+      admission("admission", {{kDefaultAdmission, build<WeightedAdmission>},
+                              {"round-robin", build<RoundRobinAdmission>}}),
+      replication("replication", {{kDefaultReplication, build<NoReplicationPolicy>},
+                                  {"push-to-consumer", build<PushToConsumerPolicy>},
+                                  {"fanout-k", build<FanoutKPolicy>}}),
+      eviction("eviction", {{kDefaultEviction, build<LruEviction>},
+                            {"pin-sources", [] {
+                               return std::make_unique<LruEviction>("pin-sources",
+                                                                    /*honor_pins=*/true);
+                             }}}) {}
 
-  register_placement(kDefaultPlacement,
-                     [] { return std::make_unique<RematchPolicy>(); });
-  register_placement("avoid-previous",
-                     [] { return std::make_unique<AvoidPreviousPolicy>(); });
-  register_placement("spread", [] { return std::make_unique<SpreadPolicy>(); });
-
-  register_replica(kDefaultReplica, [] { return std::make_unique<CloseSePolicy>(); });
-  register_replica("broadcast", [] { return std::make_unique<BroadcastPolicy>(); });
-
-  register_admission(kDefaultAdmission,
-                     [] { return std::make_unique<WeightedAdmission>(); });
-  register_admission("round-robin",
-                     [] { return std::make_unique<RoundRobinAdmission>(); });
-
-  register_replication(kDefaultReplication,
-                       [] { return std::make_unique<NoReplicationPolicy>(); });
-  register_replication("push-to-consumer",
-                       [] { return std::make_unique<PushToConsumerPolicy>(); });
-  register_replication("fanout-k",
-                       [] { return std::make_unique<FanoutKPolicy>(); });
-
-  register_eviction(kDefaultEviction, [] { return std::make_unique<LruEviction>(); });
-  register_eviction("pin-sources", [] {
-    return std::make_unique<LruEviction>("pin-sources", /*honor_pins=*/true);
-  });
-}
-
-PolicyRegistry& PolicyRegistry::instance() {
-  static PolicyRegistry registry;
+const PolicyRegistry& PolicyRegistry::instance() {
+  static const PolicyRegistry registry;
   return registry;
 }
 
-void PolicyRegistry::register_matchmaking(const std::string& name,
-                                          MatchmakingFactory factory) {
-  matchmaking_[name] = std::move(factory);
-}
-
-void PolicyRegistry::register_placement(const std::string& name,
-                                        PlacementFactory factory) {
-  placement_[name] = std::move(factory);
-}
-
-void PolicyRegistry::register_replica(const std::string& name,
-                                      ReplicaFactory factory) {
-  replica_[name] = std::move(factory);
-}
-
-void PolicyRegistry::register_admission(const std::string& name,
-                                        AdmissionFactory factory) {
-  admission_[name] = std::move(factory);
-}
-
-void PolicyRegistry::register_replication(const std::string& name,
-                                          ReplicationFactory factory) {
-  replication_[name] = std::move(factory);
-}
-
-void PolicyRegistry::register_eviction(const std::string& name,
-                                       EvictionFactory factory) {
-  eviction_[name] = std::move(factory);
-}
-
-std::unique_ptr<MatchmakingPolicy> PolicyRegistry::make_matchmaking(
-    const std::string& name, const Rng& base) const {
-  const auto it = matchmaking_.find(name);
-  MOTEUR_REQUIRE(it != matchmaking_.end(), ParseError,
-                 "unknown matchmaking policy '" + name +
-                     "' (known: " + known(matchmaking_names()) + ")");
-  return it->second(base);
-}
-
-std::unique_ptr<PlacementPolicy> PolicyRegistry::make_placement(
-    const std::string& name) const {
-  const auto it = placement_.find(name);
-  MOTEUR_REQUIRE(it != placement_.end(), ParseError,
-                 "unknown placement policy '" + name +
-                     "' (known: " + known(placement_names()) + ")");
-  return it->second();
-}
-
-std::unique_ptr<ReplicaPolicy> PolicyRegistry::make_replica(
-    const std::string& name) const {
-  const auto it = replica_.find(name);
-  MOTEUR_REQUIRE(it != replica_.end(), ParseError,
-                 "unknown replica policy '" + name +
-                     "' (known: " + known(replica_names()) + ")");
-  return it->second();
-}
-
-std::unique_ptr<AdmissionPolicy> PolicyRegistry::make_admission(
-    const std::string& name) const {
-  const auto it = admission_.find(name);
-  MOTEUR_REQUIRE(it != admission_.end(), ParseError,
-                 "unknown admission policy '" + name +
-                     "' (known: " + known(admission_names()) + ")");
-  return it->second();
-}
-
-std::unique_ptr<ReplicationPolicy> PolicyRegistry::make_replication(
-    const std::string& name) const {
-  const auto it = replication_.find(name);
-  MOTEUR_REQUIRE(it != replication_.end(), ParseError,
-                 "unknown replication policy '" + name +
-                     "' (known: " + known(replication_names()) + ")");
-  return it->second();
-}
-
-std::unique_ptr<EvictionPolicy> PolicyRegistry::make_eviction(
-    const std::string& name) const {
-  const auto it = eviction_.find(name);
-  MOTEUR_REQUIRE(it != eviction_.end(), ParseError,
-                 "unknown eviction policy '" + name +
-                     "' (known: " + known(eviction_names()) + ")");
-  return it->second();
-}
-
-const std::string& PolicyRegistry::check_matchmaking(const std::string& name,
-                                                     const std::string& flag) const {
-  MOTEUR_REQUIRE(matchmaking_.count(name) != 0, ParseError,
-                 flag + " names unknown matchmaking policy '" + name +
-                     "' (known: " + known(matchmaking_names()) + ")");
-  return name;
-}
-
-const std::string& PolicyRegistry::check_placement(const std::string& name,
-                                                   const std::string& flag) const {
-  MOTEUR_REQUIRE(placement_.count(name) != 0, ParseError,
-                 flag + " names unknown placement policy '" + name +
-                     "' (known: " + known(placement_names()) + ")");
-  return name;
-}
-
-const std::string& PolicyRegistry::check_replica(const std::string& name,
-                                                 const std::string& flag) const {
-  MOTEUR_REQUIRE(replica_.count(name) != 0, ParseError,
-                 flag + " names unknown replica policy '" + name +
-                     "' (known: " + known(replica_names()) + ")");
-  return name;
-}
-
-const std::string& PolicyRegistry::check_admission(const std::string& name,
-                                                   const std::string& flag) const {
-  MOTEUR_REQUIRE(admission_.count(name) != 0, ParseError,
-                 flag + " names unknown admission policy '" + name +
-                     "' (known: " + known(admission_names()) + ")");
-  return name;
-}
-
-const std::string& PolicyRegistry::check_replication(const std::string& name,
-                                                     const std::string& flag) const {
-  MOTEUR_REQUIRE(replication_.count(name) != 0, ParseError,
-                 flag + " names unknown replication policy '" + name +
-                     "' (known: " + known(replication_names()) + ")");
-  return name;
-}
-
-const std::string& PolicyRegistry::check_eviction(const std::string& name,
-                                                  const std::string& flag) const {
-  MOTEUR_REQUIRE(eviction_.count(name) != 0, ParseError,
-                 flag + " names unknown eviction policy '" + name +
-                     "' (known: " + known(eviction_names()) + ")");
-  return name;
-}
-
 bool PolicyRegistry::matchmaking_wants_stage_in(const std::string& name) const {
-  const Rng probe(0);
-  return make_matchmaking(name, probe)->wants_stage_in();
+  return matchmaking.make(name, Rng(0))->wants_stage_in();
 }
 
 bool PolicyRegistry::replication_is_decentralized(const std::string& name) const {
-  return make_replication(name)->decentralized_reads();
-}
-
-std::vector<std::string> PolicyRegistry::matchmaking_names() const {
-  std::vector<std::string> names;
-  names.reserve(matchmaking_.size());
-  for (const auto& [name, factory] : matchmaking_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> PolicyRegistry::placement_names() const {
-  std::vector<std::string> names;
-  names.reserve(placement_.size());
-  for (const auto& [name, factory] : placement_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> PolicyRegistry::replica_names() const {
-  std::vector<std::string> names;
-  names.reserve(replica_.size());
-  for (const auto& [name, factory] : replica_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> PolicyRegistry::admission_names() const {
-  std::vector<std::string> names;
-  names.reserve(admission_.size());
-  for (const auto& [name, factory] : admission_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> PolicyRegistry::replication_names() const {
-  std::vector<std::string> names;
-  names.reserve(replication_.size());
-  for (const auto& [name, factory] : replication_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> PolicyRegistry::eviction_names() const {
-  std::vector<std::string> names;
-  names.reserve(eviction_.size());
-  for (const auto& [name, factory] : eviction_) names.push_back(name);
-  return names;
+  return replication.make(name)->decentralized_reads();
 }
 
 }  // namespace moteur::policy

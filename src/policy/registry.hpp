@@ -1,65 +1,77 @@
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "policy/policy.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace moteur::policy {
 
-/// Process-wide catalogue of named policy factories, one namespace per
-/// decision kind. Built-ins self-register on first access; callers resolve
-/// names coming from flags, manifests, or configs through the `check_*`
-/// validators (which throw ParseError listing the known names) and
-/// construct instances through the `make_*` factories. Construction is
-/// cheap — decision sites cache instances per name.
+/// The built-in policies of one decision kind, by name. `make` constructs
+/// one (decision sites cache instances per name), `check` validates a name
+/// coming from a flag or manifest attribute; both throw ParseError listing
+/// the known names, which `names` returns in name order.
+template <class Policy, class... Args>
+class Family {
+ public:
+  using Factory = std::function<std::unique_ptr<Policy>(Args...)>;
+
+  Family(std::string kind,
+         std::initializer_list<std::pair<const std::string, Factory>> table)
+      : kind_(std::move(kind)), table_(table) {}
+
+  std::unique_ptr<Policy> make(const std::string& name, Args... args) const {
+    const auto it = table_.find(name);
+    MOTEUR_REQUIRE(it != table_.end(), ParseError,
+                   "unknown " + kind_ + " policy '" + name + "' (known: " + known() +
+                       ")");
+    return it->second(args...);
+  }
+
+  /// Returns `name` unchanged; `flag` labels the error ("--matchmaking",
+  /// "policy matchmaking attribute", ...).
+  const std::string& check(const std::string& name, const std::string& flag) const {
+    MOTEUR_REQUIRE(table_.count(name) != 0, ParseError,
+                   flag + " names unknown " + kind_ + " policy '" + name +
+                       "' (known: " + known() + ")");
+    return name;
+  }
+
+  std::vector<std::string> names() const {
+    std::vector<std::string> names;
+    for (const auto& [name, factory] : table_) names.push_back(name);
+    return names;
+  }
+
+ private:
+  std::string known() const { return join(names(), ", "); }
+
+  std::string kind_;
+  std::map<std::string, Factory> table_;
+};
+
+/// Process-wide catalogue of the built-in policies, one Family per decision
+/// kind. The tables are fixed when the registry is built; callers resolve
+/// names coming from flags, manifests or configs through them.
 class PolicyRegistry {
  public:
+  static const PolicyRegistry& instance();
+
   /// Matchmaking factories receive an RNG base so randomized policies
   /// (e.g. k-choices) can fork a private deterministic substream.
-  using MatchmakingFactory =
-      std::function<std::unique_ptr<MatchmakingPolicy>(const Rng& base)>;
-  using PlacementFactory = std::function<std::unique_ptr<PlacementPolicy>()>;
-  using ReplicaFactory = std::function<std::unique_ptr<ReplicaPolicy>()>;
-  using AdmissionFactory = std::function<std::unique_ptr<AdmissionPolicy>()>;
-  using ReplicationFactory = std::function<std::unique_ptr<ReplicationPolicy>()>;
-  using EvictionFactory = std::function<std::unique_ptr<EvictionPolicy>()>;
-
-  static PolicyRegistry& instance();
-
-  void register_matchmaking(const std::string& name, MatchmakingFactory factory);
-  void register_placement(const std::string& name, PlacementFactory factory);
-  void register_replica(const std::string& name, ReplicaFactory factory);
-  void register_admission(const std::string& name, AdmissionFactory factory);
-  void register_replication(const std::string& name, ReplicationFactory factory);
-  void register_eviction(const std::string& name, EvictionFactory factory);
-
-  std::unique_ptr<MatchmakingPolicy> make_matchmaking(const std::string& name,
-                                                      const Rng& base) const;
-  std::unique_ptr<PlacementPolicy> make_placement(const std::string& name) const;
-  std::unique_ptr<ReplicaPolicy> make_replica(const std::string& name) const;
-  std::unique_ptr<AdmissionPolicy> make_admission(const std::string& name) const;
-  std::unique_ptr<ReplicationPolicy> make_replication(const std::string& name) const;
-  std::unique_ptr<EvictionPolicy> make_eviction(const std::string& name) const;
-
-  /// Validate a policy name from a flag or manifest attribute; returns the
-  /// name unchanged or throws ParseError naming the known policies. `flag`
-  /// labels the error ("--matchmaking", "policy matchmaking attribute", ...).
-  const std::string& check_matchmaking(const std::string& name,
-                                       const std::string& flag) const;
-  const std::string& check_placement(const std::string& name,
-                                     const std::string& flag) const;
-  const std::string& check_replica(const std::string& name,
-                                   const std::string& flag) const;
-  const std::string& check_admission(const std::string& name,
-                                     const std::string& flag) const;
-  const std::string& check_replication(const std::string& name,
-                                       const std::string& flag) const;
-  const std::string& check_eviction(const std::string& name,
-                                    const std::string& flag) const;
+  const Family<MatchmakingPolicy, const Rng&> matchmaking;
+  const Family<PlacementPolicy> placement;
+  const Family<ReplicaPolicy> replica;
+  const Family<AdmissionPolicy> admission;
+  const Family<ReplicationPolicy> replication;
+  const Family<EvictionPolicy> eviction;
 
   /// Whether the named replication policy routes remote reads SE→SE (so
   /// callers know to bring up the data plane before enactment).
@@ -69,22 +81,8 @@ class PolicyRegistry {
   /// callers know to bring up the data plane before enactment).
   bool matchmaking_wants_stage_in(const std::string& name) const;
 
-  std::vector<std::string> matchmaking_names() const;
-  std::vector<std::string> placement_names() const;
-  std::vector<std::string> replica_names() const;
-  std::vector<std::string> admission_names() const;
-  std::vector<std::string> replication_names() const;
-  std::vector<std::string> eviction_names() const;
-
  private:
   PolicyRegistry();
-
-  std::map<std::string, MatchmakingFactory> matchmaking_;
-  std::map<std::string, PlacementFactory> placement_;
-  std::map<std::string, ReplicaFactory> replica_;
-  std::map<std::string, AdmissionFactory> admission_;
-  std::map<std::string, ReplicationFactory> replication_;
-  std::map<std::string, EvictionFactory> eviction_;
 };
 
 /// Built-in policy names (defaults preserve pre-policy-engine behavior).

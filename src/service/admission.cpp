@@ -11,7 +11,7 @@ policy::AdmissionPolicy& AdmissionGate::policy_for(const std::string& name) {
   const std::string& key = name.empty() ? config_.policy : name;
   auto it = policies_.find(key);
   if (it == policies_.end()) {
-    it = policies_.emplace(key, policy::PolicyRegistry::instance().make_admission(key))
+    it = policies_.emplace(key, policy::PolicyRegistry::instance().admission.make(key))
              .first;
   }
   return *it->second;

@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -16,7 +17,7 @@ bool to_double(const std::string& text, double& out) {
   errno = 0;
   char* end = nullptr;
   out = std::strtod(trimmed.c_str(), &end);
-  return errno == 0 && end == trimmed.c_str() + trimmed.size();
+  return errno == 0 && end == trimmed.c_str() + trimmed.size() && std::isfinite(out);
 }
 
 bool to_count(const std::string& text, std::size_t& out) {
@@ -62,6 +63,20 @@ double parse_nonnegative_real(const std::string& text, const std::string& flag) 
     throw ParseError(flag + " must be a non-negative number (got '" + text + "')");
   }
   return value;
+}
+
+double parse_fraction(const std::string& text, const std::string& flag) {
+  double value = 0.0;
+  if (!to_double(text, value) || value <= 0.0 || value > 1.0) {
+    throw ParseError(flag + " must be a fraction in (0, 1] (got '" + text + "')");
+  }
+  return value;
+}
+
+bool parse_bool(const std::string& text, const std::string& flag) {
+  if (text == "true" || text == "1") return true;
+  if (text == "false" || text == "0") return false;
+  throw ParseError(flag + " must be true | false | 1 | 0 (got '" + text + "')");
 }
 
 double parse_probability(const std::string& text, const std::string& flag) {

@@ -32,6 +32,28 @@ int parse_port(const std::string& text, const std::string& flag);
 /// Real number >= 0 (--retry-timeout, where 0 disables the multiplier).
 double parse_nonnegative_real(const std::string& text, const std::string& flag);
 
+/// Fraction in (0, 1] (the overhead share adaptive batching aims for).
+double parse_fraction(const std::string& text, const std::string& flag);
+
+/// Boolean spelled true | false | 1 | 0 (manifest switches).
+bool parse_bool(const std::string& text, const std::string& flag);
+
+/// A flag's (or manifest attribute's) text and the name its errors cite,
+/// with the parsers above bound to both.
+struct FlagValue {
+  const std::string& text;
+  const std::string& flag;
+  std::size_t count() const { return parse_count(text, flag); }
+  std::size_t positive_count() const { return parse_positive_count(text, flag); }
+  double probability() const { return parse_probability(text, flag); }
+  double fraction() const { return parse_fraction(text, flag); }
+  double nonnegative_real() const { return parse_nonnegative_real(text, flag); }
+  double positive_seconds() const { return parse_positive_seconds(text, flag); }
+  double nonnegative_seconds() const { return parse_nonnegative_seconds(text, flag); }
+  int port() const { return parse_port(text, flag); }
+  bool boolean() const { return parse_bool(text, flag); }
+};
+
 /// One scheduled storage-element downtime window from --se-outage.
 struct SeOutageSpec {
   std::string storage_element;

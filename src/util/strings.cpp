@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -66,6 +67,12 @@ std::string format_fixed(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
   return buf;
+}
+
+std::string format_shortest(double value) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, result.ptr);
 }
 
 std::string pad_left(const std::string& s, std::size_t width) {

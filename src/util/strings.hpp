@@ -24,6 +24,9 @@ std::string format_duration(double seconds);
 /// Fixed-point formatting with the given number of decimals.
 std::string format_fixed(double value, int decimals);
 
+/// The shortest text that reads back as exactly `value` (std::to_chars).
+std::string format_shortest(double value);
+
 /// Left/right pad with spaces to the given width (no truncation).
 std::string pad_left(const std::string& s, std::size_t width);
 std::string pad_right(const std::string& s, std::size_t width);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "app/bronze_standard.hpp"
 #include "data/provenance_xml.hpp"
 #include "enactor/enactor.hpp"
@@ -82,16 +86,19 @@ TEST(Catalog, RejectsMalformedDocuments) {
 // ---------------------------------------------------------------------------
 
 TEST(PolicyXml, RoundTrip) {
-  enactor::EnactmentPolicy policy = enactor::EnactmentPolicy::sp_dp_jg();
+  enactor::RunManifest manifest;
+  manifest.workflow = app::bronze_standard_workflow();
+  manifest.inputs = app::bronze_standard_dataset(1);
+  enactor::EnactmentPolicy& policy = manifest.policy;
+  policy = enactor::EnactmentPolicy::sp_dp_jg();
   policy.data_parallelism_cap = 8;
   policy.batch_size = 4;
   policy.adaptive_batching = true;
   policy.overhead_fraction_target = 0.25;
   policy.max_batch = 32;
 
-  xml::Node node("policy");
-  enactor::write_policy(node, policy);
-  const enactor::EnactmentPolicy parsed = enactor::read_policy(node);
+  const enactor::EnactmentPolicy parsed =
+      enactor::RunManifest::from_xml(manifest.to_xml()).policy;
   EXPECT_EQ(parsed.name(), "SP+DP+JG");
   EXPECT_EQ(parsed.data_parallelism_cap, 8u);
   EXPECT_EQ(parsed.batch_size, 4u);
@@ -133,6 +140,79 @@ TEST(Manifest, RejectsBadPresetAndMissingParts) {
   manifest.grid_preset = "mainframe";
   EXPECT_THROW(manifest.make_grid_config(), ParseError);
   EXPECT_THROW(enactor::RunManifest::from_xml("<run/>"), ParseError);
+}
+
+/// A one-pair Bronze manifest with `edit` replacing its <policy> element.
+std::string manifest_with(const std::string& edit) {
+  enactor::RunManifest manifest;
+  manifest.workflow = app::bronze_standard_workflow();
+  manifest.inputs = app::bronze_standard_dataset(1);
+  std::string xml = manifest.to_xml();
+  const std::string policy = "<policy config=\"SP+DP\"/>";
+  const auto at = xml.find(policy);
+  EXPECT_NE(at, std::string::npos) << xml;
+  return xml.replace(at, policy.size(), edit);
+}
+
+std::string manifest_error_of(const std::string& xml) {
+  try {
+    enactor::RunManifest::from_xml(xml);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected ParseError for\n" << xml.substr(0, 200);
+  return {};
+}
+
+TEST(Manifest, RejectsMalformedAndOutOfRangeValuesNamingTheAttribute) {
+  for (const auto& [attribute, value] :
+       std::vector<std::pair<std::string, std::string>>{{"batch", "-1"},
+                                                        {"batch", "2x"},
+                                                        {"retryAttempts", "three"},
+                                                        {"cache", "yes"},
+                                                        {"breakerCooldown", "0"},
+                                                        {"overheadFractionTarget", "0"},
+                                                        {"recoveryDepth", "0"},
+                                                        {"failurePolicy", "carry-on"},
+                                                        {"matchmaking", "bogus"}}) {
+    const std::string what = manifest_error_of(
+        manifest_with("<policy config=\"SP+DP\" " + attribute + "=\"" + value + "\"/>"));
+    EXPECT_NE(what.find("policy " + attribute + " attribute"), std::string::npos) << what;
+    EXPECT_NE(what.find(value), std::string::npos) << what;
+  }
+  EXPECT_NE(manifest_error_of(manifest_with("<policy config=\"SP+XP\"/>"))
+                .find("policy config attribute"),
+            std::string::npos);
+  const std::string grid = manifest_error_of(manifest_with(
+      "<policy config=\"SP+DP\"/><grid preset=\"egee2006\" seed=\"-3\"/>"));
+  EXPECT_NE(grid.find("grid seed attribute"), std::string::npos) << grid;
+  const std::string service =
+      manifest_error_of(manifest_with("<policy/><service pinPolicy=\"random\"/>"));
+  EXPECT_NE(service.find("service pinPolicy attribute"), std::string::npos) << service;
+}
+
+TEST(Manifest, RejectsUnknownAttributesAndChildrenListingTheKnownNames) {
+  const std::string typo =
+      manifest_error_of(manifest_with("<policy config=\"SP+DP\" retryAtempts=\"3\"/>"));
+  EXPECT_NE(typo.find("<policy> has unknown attribute 'retryAtempts'"), std::string::npos)
+      << typo;
+  EXPECT_NE(typo.find("retryAttempts, retryTimeoutMultiplier"), std::string::npos)
+      << typo;
+  const std::string grid = manifest_error_of(
+      manifest_with("<policy/><grid preset=\"cluster\" node=\"8\"/>"));
+  EXPECT_NE(grid.find("<grid> has unknown attribute 'node'"), std::string::npos) << grid;
+  EXPECT_NE(grid.find("nodes"), std::string::npos) << grid;
+  const std::string child = manifest_error_of(manifest_with("<polciy/>"));
+  EXPECT_NE(child.find("<run> has unknown child <polciy>"), std::string::npos) << child;
+  EXPECT_NE(child.find("policy, grid, service"), std::string::npos) << child;
+}
+
+TEST(Manifest, PolicyElementWithoutConfigIsNop) {
+  const auto policy_of = [](const std::string& edit) {
+    return enactor::RunManifest::from_xml(manifest_with(edit)).policy.name();
+  };
+  EXPECT_EQ(policy_of("<policy/>"), "NOP");
+  EXPECT_EQ(policy_of(""), "SP+DP");
 }
 
 TEST(Manifest, LoadedManifestEnactsIdentically) {

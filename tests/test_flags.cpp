@@ -76,6 +76,35 @@ TEST(Flags, SecondsParsersEnforceTheirBounds) {
   }
 }
 
+TEST(Flags, RealParsersRejectNonFiniteValues) {
+  for (const char* bad : {"inf", "nan", "1e999"}) {
+    EXPECT_THROW(parse_nonnegative_real(bad, "--retry-timeout"), ParseError) << bad;
+    EXPECT_THROW(parse_positive_seconds(bad, "--breaker-cooldown"), ParseError) << bad;
+  }
+}
+
+TEST(Flags, FractionIsTheHalfOpenUnitInterval) {
+  EXPECT_DOUBLE_EQ(parse_fraction("1", "f"), 1.0);
+  EXPECT_DOUBLE_EQ(parse_fraction("0.25", "f"), 0.25);
+  for (const char* bad : {"0", "-0.5", "1.01", "x"}) {
+    EXPECT_NE(parse_error_of([&] { parse_fraction(bad, "f"); }).find("(0, 1]"),
+              std::string::npos)
+        << bad;
+  }
+}
+
+TEST(Flags, BooleansAreTrueFalseOneOrZero) {
+  EXPECT_TRUE(parse_bool("true", "b"));
+  EXPECT_TRUE(parse_bool("1", "b"));
+  EXPECT_FALSE(parse_bool("false", "b"));
+  EXPECT_FALSE(parse_bool("0", "b"));
+  for (const char* bad : {"yes", "TRUE", "", " 1"}) {
+    const std::string what =
+        parse_error_of([&] { parse_bool(bad, "policy cache attribute"); });
+    EXPECT_NE(what.find("policy cache attribute"), std::string::npos) << bad;
+  }
+}
+
 TEST(Flags, SeOutagesParseSingleAndMultipleWindows) {
   const auto one = parse_se_outages("se-north:3600:1800", "--se-outage");
   ASSERT_EQ(one.size(), 1u);

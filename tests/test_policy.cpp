@@ -38,34 +38,34 @@ TEST(PolicyRegistry, KnowsTheBuiltins) {
   const auto has = [](const std::vector<std::string>& names, const char* name) {
     return std::find(names.begin(), names.end(), name) != names.end();
   };
-  EXPECT_TRUE(has(reg.matchmaking_names(), "queue-rank"));
-  EXPECT_TRUE(has(reg.matchmaking_names(), "data-gravity"));
-  EXPECT_TRUE(has(reg.matchmaking_names(), "locality-first"));
-  EXPECT_TRUE(has(reg.matchmaking_names(), "k-choices"));
-  EXPECT_TRUE(has(reg.placement_names(), "rematch"));
-  EXPECT_TRUE(has(reg.placement_names(), "avoid-previous"));
-  EXPECT_TRUE(has(reg.placement_names(), "spread"));
-  EXPECT_TRUE(has(reg.replica_names(), "close-se"));
-  EXPECT_TRUE(has(reg.replica_names(), "broadcast"));
-  EXPECT_TRUE(has(reg.admission_names(), "weighted"));
-  EXPECT_TRUE(has(reg.admission_names(), "round-robin"));
+  EXPECT_TRUE(has(reg.matchmaking.names(), "queue-rank"));
+  EXPECT_TRUE(has(reg.matchmaking.names(), "data-gravity"));
+  EXPECT_TRUE(has(reg.matchmaking.names(), "locality-first"));
+  EXPECT_TRUE(has(reg.matchmaking.names(), "k-choices"));
+  EXPECT_TRUE(has(reg.placement.names(), "rematch"));
+  EXPECT_TRUE(has(reg.placement.names(), "avoid-previous"));
+  EXPECT_TRUE(has(reg.placement.names(), "spread"));
+  EXPECT_TRUE(has(reg.replica.names(), "close-se"));
+  EXPECT_TRUE(has(reg.replica.names(), "broadcast"));
+  EXPECT_TRUE(has(reg.admission.names(), "weighted"));
+  EXPECT_TRUE(has(reg.admission.names(), "round-robin"));
 }
 
 TEST(PolicyRegistry, CheckRejectsUnknownNamesWithTheFlagLabel) {
   const PolicyRegistry& reg = PolicyRegistry::instance();
-  EXPECT_EQ(reg.check_matchmaking("queue-rank", "--matchmaking"), "queue-rank");
+  EXPECT_EQ(reg.matchmaking.check("queue-rank", "--matchmaking"), "queue-rank");
   try {
-    reg.check_matchmaking("bogus", "--matchmaking");
+    reg.matchmaking.check("bogus", "--matchmaking");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("--matchmaking"), std::string::npos) << what;
     EXPECT_NE(what.find("queue-rank"), std::string::npos) << what;
   }
-  EXPECT_THROW(reg.check_placement("bogus", "--placement"), ParseError);
-  EXPECT_THROW(reg.check_replica("bogus", "--replica-policy"), ParseError);
-  EXPECT_THROW(reg.check_admission("bogus", "--admission-policy"), ParseError);
-  EXPECT_THROW(reg.make_matchmaking("bogus", Rng(1)), ParseError);
+  EXPECT_THROW(reg.placement.check("bogus", "--placement"), ParseError);
+  EXPECT_THROW(reg.replica.check("bogus", "--replica-policy"), ParseError);
+  EXPECT_THROW(reg.admission.check("bogus", "--admission-policy"), ParseError);
+  EXPECT_THROW(reg.matchmaking.make("bogus", Rng(1)), ParseError);
 }
 
 TEST(PolicyRegistry, StageInAwarenessPerPolicy) {
@@ -88,7 +88,7 @@ std::vector<policy::CeCandidate> candidates() {
 
 TEST(MatchmakingPolicies, QueueRankPicksTheLowestRank) {
   const Rng base(7);
-  const auto policy = PolicyRegistry::instance().make_matchmaking("queue-rank", base);
+  const auto policy = PolicyRegistry::instance().matchmaking.make("queue-rank", base);
   Rng tie = base.fork("ties");
   // Without a stage-in estimator (stage_in_seconds == 0, the default-run
   // case) queue-rank ranks purely on queue depth.
@@ -103,7 +103,7 @@ TEST(MatchmakingPolicies, QueueRankPicksTheLowestRank) {
 
 TEST(MatchmakingPolicies, QueueRankBreaksTiesThroughTheSharedStream) {
   const Rng base(7);
-  const auto policy = PolicyRegistry::instance().make_matchmaking("queue-rank", base);
+  const auto policy = PolicyRegistry::instance().matchmaking.make("queue-rank", base);
   const std::vector<policy::CeCandidate> tied = {
       {"ce-a", 10.0, 0.0}, {"ce-b", 10.0, 0.0}, {"ce-c", 10.0, 0.0}};
   // Tie draws must follow the same substream a direct uniform_int would.
@@ -115,7 +115,7 @@ TEST(MatchmakingPolicies, QueueRankBreaksTiesThroughTheSharedStream) {
 
 TEST(MatchmakingPolicies, DataGravityRanksOnQueuePlusStageIn) {
   const Rng base(7);
-  const auto policy = PolicyRegistry::instance().make_matchmaking("data-gravity", base);
+  const auto policy = PolicyRegistry::instance().matchmaking.make("data-gravity", base);
   EXPECT_TRUE(policy->wants_stage_in());
   Rng tie = base.fork("ties");
   // Combined cost: a=35, b=60, c=21 -> ce-c.
@@ -125,7 +125,7 @@ TEST(MatchmakingPolicies, DataGravityRanksOnQueuePlusStageIn) {
 TEST(MatchmakingPolicies, LocalityFirstPrefersCheapStageIn) {
   const Rng base(7);
   const auto policy =
-      PolicyRegistry::instance().make_matchmaking("locality-first", base);
+      PolicyRegistry::instance().matchmaking.make("locality-first", base);
   Rng tie = base.fork("ties");
   // Lexicographic (stage-in, queue rank): ce-c has the cheapest stage-in.
   EXPECT_EQ(policy->choose(candidates(), tie), 2u);
@@ -134,8 +134,8 @@ TEST(MatchmakingPolicies, LocalityFirstPrefersCheapStageIn) {
 TEST(MatchmakingPolicies, KChoicesIsDeterministicPerSeedAndIgnoresTieStream) {
   const Rng base(42);
   const auto reg = &PolicyRegistry::instance();
-  const auto a = reg->make_matchmaking("k-choices", base);
-  const auto b = reg->make_matchmaking("k-choices", base);
+  const auto a = reg->matchmaking.make("k-choices", base);
+  const auto b = reg->matchmaking.make("k-choices", base);
   Rng tie_a = base.fork("ties");
   Rng tie_b = base.fork("ties");
   for (int i = 0; i < 32; ++i) {
@@ -154,16 +154,16 @@ TEST(PlacementPolicies, AvoidSetsPerPolicy) {
   policy::PlacementContext ctx;
   ctx.attempt = 3;
   ctx.tried_ces = &tried;
-  EXPECT_TRUE(reg.make_placement("rematch")->avoid(ctx).empty());
-  EXPECT_EQ(reg.make_placement("avoid-previous")->avoid(ctx),
+  EXPECT_TRUE(reg.placement.make("rematch")->avoid(ctx).empty());
+  EXPECT_EQ(reg.placement.make("avoid-previous")->avoid(ctx),
             std::vector<std::string>{"ce-b"});
-  EXPECT_EQ(reg.make_placement("spread")->avoid(ctx), tried);
+  EXPECT_EQ(reg.placement.make("spread")->avoid(ctx), tried);
 }
 
 TEST(ReplicaPolicies, TargetsAndProbeOrder) {
   const PolicyRegistry& reg = PolicyRegistry::instance();
   const std::vector<std::string> all = {"se-1", "se-2", "se-3"};
-  const auto close = reg.make_replica("close-se");
+  const auto close = reg.replica.make("close-se");
   EXPECT_EQ(close->placement_targets("se-2", all), std::vector<std::string>{"se-2"});
   std::vector<std::string> probe = all;
   close->probe_order(probe, "se-2");
@@ -171,7 +171,7 @@ TEST(ReplicaPolicies, TargetsAndProbeOrder) {
   // behind it in their original relative positions after the cycle.
   EXPECT_EQ(probe, (std::vector<std::string>{"se-2", "se-1", "se-3"}));
 
-  const auto broadcast = reg.make_replica("broadcast");
+  const auto broadcast = reg.replica.make("broadcast");
   EXPECT_EQ(broadcast->placement_targets("se-2", all), all);
   EXPECT_EQ(broadcast->placement_targets("se-2", {}),
             std::vector<std::string>{"se-2"});
@@ -179,8 +179,8 @@ TEST(ReplicaPolicies, TargetsAndProbeOrder) {
 
 TEST(AdmissionPolicies, WeightMapping) {
   const PolicyRegistry& reg = PolicyRegistry::instance();
-  EXPECT_EQ(reg.make_admission("weighted")->weight("run-1", 3), 3u);
-  EXPECT_EQ(reg.make_admission("round-robin")->weight("run-1", 3), 1u);
+  EXPECT_EQ(reg.admission.make("weighted")->weight("run-1", 3), 3u);
+  EXPECT_EQ(reg.admission.make("round-robin")->weight("run-1", 3), 1u);
 }
 
 // ---------------------------------------------------------------------------

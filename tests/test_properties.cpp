@@ -12,8 +12,10 @@
 
 #include "data/dataset.hpp"
 #include "enactor/enactor.hpp"
+#include "enactor/manifest.hpp"
 #include "enactor/sim_backend.hpp"
 #include "grid/grid.hpp"
+#include "policy/registry.hpp"
 #include "services/functional_service.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -232,6 +234,131 @@ TEST_P(RandomWorkflows, CapacityCapIsRespected) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomWorkflows,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
+
+// ---------------------------------------------------------------------------
+// Run manifests survive their own XML form
+// ---------------------------------------------------------------------------
+
+std::size_t draw_count(Rng& rng, std::int64_t lo, std::int64_t hi) {
+  return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+}
+
+bool draw_bool(Rng& rng) { return rng.uniform_int(0, 1) == 1; }
+
+/// A real in (0, max] — often one without a short decimal form — or 0 when
+/// `zero_ok` and the draw says so.
+double draw_real(Rng& rng, double max, bool zero_ok) {
+  if (zero_ok && rng.uniform_int(0, 5) == 0) return 0.0;
+  const double awkward[] = {0.1 + 0.2, 5e-7, 1.0 / 3.0, max,
+                            max * rng.uniform(1e-9, 1.0)};
+  return awkward[rng.uniform_int(0, 4)];
+}
+
+/// Unset (inherit the default) or one of the family's names.
+template <class Family>
+std::string draw_name(Rng& rng, const Family& family) {
+  const std::vector<std::string> names = family.names();
+  const auto pick = rng.uniform_int(0, static_cast<std::int64_t>(names.size()));
+  return pick == 0 ? std::string() : names[static_cast<std::size_t>(pick - 1)];
+}
+
+/// Every <policy>, <grid> and <service> attribute drawn from the range its
+/// reader accepts. A switched-off breaker keeps its default knobs: its
+/// attributes are written only while it is on.
+enactor::RunManifest random_manifest(Rng& rng) {
+  const policy::PolicyRegistry& policies = policy::PolicyRegistry::instance();
+  enactor::RunManifest m;
+  RandomApplication app = make_random_application(rng);
+  m.workflow = std::move(app.workflow);
+  m.inputs = std::move(app.inputs);
+  const char* configs[] = {"NOP", "JG", "SP", "DP", "SP+DP", "SP+DP+JG"};
+  enactor::EnactmentPolicy& p = m.policy;
+  p = enactor::EnactmentPolicy::parse(configs[rng.uniform_int(0, 5)]);
+  p.data_parallelism_cap = draw_count(rng, 0, 64);
+  p.batch_size = draw_count(rng, 1, 64);
+  p.adaptive_batching = draw_bool(rng);
+  p.overhead_fraction_target = draw_real(rng, 1.0, false);
+  p.max_batch = draw_count(rng, 1, 64);
+  p.retry.max_attempts = draw_count(rng, 1, 8);
+  p.retry.timeout_multiplier = draw_real(rng, 10.0, true);
+  p.retry.timeout_min_samples = draw_count(rng, 1, 10);
+  p.retry.backoff_initial_seconds = draw_real(rng, 600.0, true);
+  p.retry.backoff_factor = draw_real(rng, 4.0, true);
+  p.failure_policy = draw_bool(rng) ? enactor::FailurePolicy::kContinue
+                                    : enactor::FailurePolicy::kFailFast;
+  p.breaker.enabled = draw_bool(rng);
+  if (p.breaker.enabled) {
+    p.breaker.window = draw_count(rng, 1, 20);
+    p.breaker.threshold = draw_count(rng, 1, 20);
+    p.breaker.cooldown_seconds = draw_real(rng, 3600.0, false);
+  }
+  p.cache = draw_bool(rng);
+  p.data_aware = draw_bool(rng);
+  p.matchmaking = draw_name(rng, policies.matchmaking);
+  p.placement = draw_name(rng, policies.placement);
+  p.replica_policy = draw_name(rng, policies.replica);
+  p.admission = draw_name(rng, policies.admission);
+  p.replication = draw_name(rng, policies.replication);
+  p.lineage_recovery = draw_bool(rng);
+  p.max_recovery_depth = draw_count(rng, 1, 16);
+
+  const char* presets[] = {"egee2006", "cluster", "constant"};
+  m.grid_preset = presets[rng.uniform_int(0, 2)];
+  m.seed = rng.next_u64();
+  m.constant_overhead_seconds = draw_real(rng, 1000.0, true);
+  m.cluster_nodes = draw_count(rng, 1, 512);
+  m.orchestrator_bandwidth_mbps = draw_real(rng, 100.0, true);
+  m.shards = draw_count(rng, 1, 8);
+  m.pin_policy = draw_bool(rng) ? "least-loaded" : "hash";
+  return m;
+}
+
+TEST(ManifestProperties, EveryAttributeSurvivesTheRoundTrip) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const enactor::RunManifest m = random_manifest(rng);
+    const std::string xml = m.to_xml();
+    const enactor::RunManifest r = enactor::RunManifest::from_xml(xml);
+    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" +
+                 xml.substr(0, xml.find("<workflow")));
+    const enactor::EnactmentPolicy& a = m.policy;
+    const enactor::EnactmentPolicy& b = r.policy;
+    EXPECT_EQ(a.name(), b.name());
+    EXPECT_EQ(a.data_parallelism_cap, b.data_parallelism_cap);
+    EXPECT_EQ(a.batch_size, b.batch_size);
+    EXPECT_EQ(a.adaptive_batching, b.adaptive_batching);
+    EXPECT_EQ(a.overhead_fraction_target, b.overhead_fraction_target);
+    EXPECT_EQ(a.overhead_hint_seconds, b.overhead_hint_seconds);
+    EXPECT_EQ(a.max_batch, b.max_batch);
+    EXPECT_EQ(a.retry.max_attempts, b.retry.max_attempts);
+    EXPECT_EQ(a.retry.timeout_multiplier, b.retry.timeout_multiplier);
+    EXPECT_EQ(a.retry.timeout_min_samples, b.retry.timeout_min_samples);
+    EXPECT_EQ(a.retry.backoff_initial_seconds, b.retry.backoff_initial_seconds);
+    EXPECT_EQ(a.retry.backoff_factor, b.retry.backoff_factor);
+    EXPECT_EQ(a.failure_policy, b.failure_policy);
+    EXPECT_EQ(a.breaker.enabled, b.breaker.enabled);
+    EXPECT_EQ(a.breaker.window, b.breaker.window);
+    EXPECT_EQ(a.breaker.threshold, b.breaker.threshold);
+    EXPECT_EQ(a.breaker.cooldown_seconds, b.breaker.cooldown_seconds);
+    EXPECT_EQ(a.cache, b.cache);
+    EXPECT_EQ(a.data_aware, b.data_aware);
+    EXPECT_EQ(a.matchmaking, b.matchmaking);
+    EXPECT_EQ(a.placement, b.placement);
+    EXPECT_EQ(a.replica_policy, b.replica_policy);
+    EXPECT_EQ(a.admission, b.admission);
+    EXPECT_EQ(a.replication, b.replication);
+    EXPECT_EQ(a.lineage_recovery, b.lineage_recovery);
+    EXPECT_EQ(a.max_recovery_depth, b.max_recovery_depth);
+    EXPECT_EQ(m.grid_preset, r.grid_preset);
+    EXPECT_EQ(m.seed, r.seed);
+    EXPECT_EQ(m.constant_overhead_seconds, r.constant_overhead_seconds);
+    EXPECT_EQ(m.cluster_nodes, r.cluster_nodes);
+    EXPECT_EQ(m.orchestrator_bandwidth_mbps, r.orchestrator_bandwidth_mbps);
+    EXPECT_EQ(m.shards, r.shards);
+    EXPECT_EQ(m.pin_policy, r.pin_policy);
+    EXPECT_EQ(r.to_xml(), xml);  // workflow and data set included
+  }
+}
 
 }  // namespace
 }  // namespace moteur

@@ -168,7 +168,7 @@ TEST(TransferRouting, FanoutReplicatesFreshOutputsInBackground) {
 
 TEST(ReplicaEviction, LruEvictsTheLeastRecentlyUsedReplica) {
   data::ReplicaCatalog catalog;
-  catalog.set_eviction_policy(policy::PolicyRegistry::instance().make_eviction("lru"));
+  catalog.set_eviction_policy(policy::PolicyRegistry::instance().eviction.make("lru"));
   catalog.set_se_capacity("se-a", 30.0);
   catalog.register_replica("f1", "se-a", 10.0);
   catalog.register_replica("f2", "se-a", 10.0);
@@ -186,7 +186,7 @@ TEST(ReplicaEviction, LruEvictsTheLeastRecentlyUsedReplica) {
 TEST(ReplicaEviction, PinSourcesNeverDropsPinnedReplicas) {
   data::ReplicaCatalog catalog;
   catalog.set_eviction_policy(
-      policy::PolicyRegistry::instance().make_eviction("pin-sources"));
+      policy::PolicyRegistry::instance().eviction.make("pin-sources"));
   catalog.set_se_capacity("se-a", 25.0);
   catalog.register_replica("src1", "se-a", 10.0, /*pinned=*/true);
   catalog.register_replica("src2", "se-a", 10.0, /*pinned=*/true);
@@ -203,7 +203,7 @@ TEST(ReplicaEviction, PinSourcesNeverDropsPinnedReplicas) {
 
 TEST(ReplicaEviction, UnboundedSeNeverEvicts) {
   data::ReplicaCatalog catalog;
-  catalog.set_eviction_policy(policy::PolicyRegistry::instance().make_eviction("lru"));
+  catalog.set_eviction_policy(policy::PolicyRegistry::instance().eviction.make("lru"));
   for (int i = 0; i < 100; ++i) {
     catalog.register_replica("f" + std::to_string(i), "se-a", 10.0);
   }
@@ -217,13 +217,13 @@ TEST(ReplicaEviction, UnboundedSeNeverEvicts) {
 
 TEST(PolicyRegistryTransfer, UnknownNamesAreRejectedWithTheKnownList) {
   const policy::PolicyRegistry& registry = policy::PolicyRegistry::instance();
-  EXPECT_THROW(registry.check_replication("gossip", "--replication-policy"),
+  EXPECT_THROW(registry.replication.check("gossip", "--replication-policy"),
                ParseError);
-  EXPECT_THROW(registry.check_eviction("random", "--eviction-policy"), ParseError);
-  EXPECT_EQ(registry.check_replication("push-to-consumer", "x"), "push-to-consumer");
-  EXPECT_EQ(registry.check_eviction("pin-sources", "x"), "pin-sources");
-  EXPECT_NE(registry.make_replication("fanout-k"), nullptr);
-  EXPECT_NE(registry.make_eviction("lru"), nullptr);
+  EXPECT_THROW(registry.eviction.check("random", "--eviction-policy"), ParseError);
+  EXPECT_EQ(registry.replication.check("push-to-consumer", "x"), "push-to-consumer");
+  EXPECT_EQ(registry.eviction.check("pin-sources", "x"), "pin-sources");
+  EXPECT_NE(registry.replication.make("fanout-k"), nullptr);
+  EXPECT_NE(registry.eviction.make("lru"), nullptr);
 }
 
 }  // namespace

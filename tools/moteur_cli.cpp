@@ -105,19 +105,10 @@ struct Options {
 };
 
 /// A flag's value as its row sees it: the text, the flag's name, and the
-/// util/flags parsers and PolicyRegistry checks bound to both.
-struct Value {
-  Text text, flag;
-  std::size_t count() const { return parse_count(text, flag); }
-  std::size_t positive_count() const { return parse_positive_count(text, flag); }
-  double probability() const { return parse_probability(text, flag); }
-  double nonnegative_real() const { return parse_nonnegative_real(text, flag); }
-  double positive_seconds() const { return parse_positive_seconds(text, flag); }
-  double nonnegative_seconds() const { return parse_nonnegative_seconds(text, flag); }
-  int port() const { return parse_port(text, flag); }
-  template <class Check>  // &Registry::check_matchmaking, ...
-  std::string policy(Check c) const { return (Registry::instance().*c)(text, flag); }
-};
+/// util/flags parsers bound to both.
+using Value = FlagValue;
+
+const Registry& policies() { return Registry::instance(); }
 
 /// The run's circuit breakers, switched on: any breaker knob switches them on.
 grid::BreakerPolicy& breaker(Policy& p) {
@@ -155,7 +146,7 @@ const Flag kFlags[] = {
     {"services", "CAT.xml", "service catalog", kRun | kValidate, &Options::services},
     // Run overrides, applied to every manifest of the run.
     {"policy", "NAME", "NOP|JG|SP|DP|SP+DP|SP+DP+JG", kRunSave,
-     [](Manifest& m, Value v) { m.policy = Policy::parse(v.text); }},
+     [](Manifest& m, Value v) { m.policy = Policy::parse(v.text, v.flag); }},
     {"grid", "PRESET", "egee2006|cluster|constant", kRunSave,
      [](Manifest& m, Value v) { m.grid_preset = v.text; }},
     {"seed", "N", "simulation seed", kRunSave,
@@ -175,7 +166,7 @@ const Flag kFlags[] = {
        p.retry.backoff_initial_seconds = v.nonnegative_seconds();
      }},
     {"failure-policy", "NAME", "failfast|continue (with partial results)", kRunSave,
-     [](Policy& p, Value v) { p.failure_policy = parse_failure_policy(v.text); }},
+     [](Policy& p, Value v) { p.failure_policy = parse_failure_policy(v.text, v.flag); }},
     {"breaker", nullptr, "per-CE circuit breakers", kRunSave,
      [](Policy& p, Value) { breaker(p); }},
     {"breaker-window", "N", "outcomes a breaker remembers", kRunSave,
@@ -189,15 +180,25 @@ const Flag kFlags[] = {
     {"data-aware", nullptr, "rank CEs by stage-in cost", kRunSave,
      [](Policy& p, Value) { p.data_aware = true; }},
     {"matchmaking", "NAME", "queue-rank|data-gravity|locality-first|k-choices", kRunSave,
-     [](Policy& p, Value v) { p.matchmaking = v.policy(&Registry::check_matchmaking); }},
+     [](Policy& p, Value v) {
+       p.matchmaking = policies().matchmaking.check(v.text, v.flag);
+     }},
     {"placement", "NAME", "rematch|avoid-previous|spread", kRunSave,
-     [](Policy& p, Value v) { p.placement = v.policy(&Registry::check_placement); }},
+     [](Policy& p, Value v) {
+       p.placement = policies().placement.check(v.text, v.flag);
+     }},
     {"replica-policy", "NAME", "close-se|broadcast", kRunSave,
-     [](Policy& p, Value v) { p.replica_policy = v.policy(&Registry::check_replica); }},
+     [](Policy& p, Value v) {
+       p.replica_policy = policies().replica.check(v.text, v.flag);
+     }},
     {"admission-policy", "NAME", "weighted|round-robin", kRunSave,
-     [](Policy& p, Value v) { p.admission = v.policy(&Registry::check_admission); }},
+     [](Policy& p, Value v) {
+       p.admission = policies().admission.check(v.text, v.flag);
+     }},
     {"replication-policy", "NAME", "none|push-to-consumer|fanout-k", kRunSave,
-     [](Policy& p, Value v) { p.replication = v.policy(&Registry::check_replication); }},
+     [](Policy& p, Value v) {
+       p.replication = policies().replication.check(v.text, v.flag);
+     }},
     {"orchestrator-bw", "MBPS", "orchestrator link bandwidth (0 = unlimited)", kRunSave,
      [](Manifest& m, Value v) { m.orchestrator_bandwidth_mbps = v.nonnegative_real(); }},
     {"no-recovery", nullptr, "turn lineage recovery of lost files off", kRunSave,
@@ -233,7 +234,7 @@ const Flag kFlags[] = {
      [](GridConfig& g, Value v) { g.default_se_capacity_mb = v.nonnegative_real(); }},
     {"eviction-policy", "NAME", "lru|pin-sources", kRun,
      [](GridConfig& g, Value v) {
-       g.replica_eviction_policy = v.policy(&Registry::check_eviction);
+       g.replica_eviction_policy = policies().eviction.check(v.text, v.flag);
      }},
     // Multi-tenant enactment on one shared grid through the RunService.
     {"runs", "N", "enact N concurrent copies of the run", kMulti,
@@ -347,7 +348,7 @@ bool needs_replica_catalog(const GridConfig& grid,
     const Policy& p = m.policy;
     return p.cache || p.data_aware ||
            (!p.matchmaking.empty() &&
-            Registry::instance().matchmaking_wants_stage_in(p.matchmaking)) ||
+            policies().matchmaking_wants_stage_in(p.matchmaking)) ||
            (!p.replication.empty() && p.replication != policy::kDefaultReplication);
   });
 }
