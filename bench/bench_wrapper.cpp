@@ -1,10 +1,18 @@
 // E9 — Microbenchmarks of the hot enactor-side paths: descriptor parsing,
 // dynamic command-line composition, iteration-buffer matching, provenance
-// construction, the grouping optimizer and the discrete-event kernel.
+// construction, the grouping optimizer, the discrete-event kernel and the
+// resource broker's matchmaking.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "app/bronze_standard.hpp"
 #include "data/token.hpp"
+#include "grid/background_load.hpp"
+#include "grid/config.hpp"
+#include "grid/overhead_model.hpp"
+#include "grid/resource_broker.hpp"
 #include "services/descriptor.hpp"
 #include "sim/simulator.hpp"
 #include "workflow/grouping.hpp"
@@ -123,6 +131,48 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_SimulatorThroughput)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_SimulatorThroughput)->Arg(1000)->Arg(100000)->Arg(1000000);
+
+// Watchdog-style churn: every other event is cancelled before it runs, so
+// half the heap entries surface stale.
+void BM_SimulatorCancelHeavy(benchmark::State& state) {
+  const auto events = static_cast<std::size_t>(state.range(0));
+  std::vector<sim::EventId> ids(events);
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    for (std::size_t e = 0; e < events; ++e) {
+      ids[e] = simulator.schedule(static_cast<double>(e % 97), [] {});
+    }
+    for (std::size_t e = 0; e < events; e += 2) simulator.cancel(ids[e]);
+    simulator.run();
+    benchmark::DoNotOptimize(simulator.executed_events());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_SimulatorCancelHeavy)->Arg(1000)->Arg(100000);
+
+// One matchmaking decision on the egee2006 sites, with CE queues in the state
+// six simulated hours of background load leave them in.
+void BM_BrokerMatch(benchmark::State& state) {
+  sim::Simulator simulator;
+  const grid::GridConfig config = grid::GridConfig::egee2006(11);
+  const Rng rng(11);
+  grid::OverheadModel overhead(config, rng);
+  grid::ResourceBroker broker(simulator, overhead, config.broker_concurrency,
+                              config.broker_occupancy_fraction, rng);
+  for (const auto& ce : config.computing_elements) {
+    broker.add_computing_element(
+        std::make_unique<grid::ComputingElement>(simulator, ce, rng));
+  }
+  const grid::BackgroundLoad background(
+      simulator, broker, config.background_jobs_per_hour, config.background_mean_duration,
+      config.background_horizon_seconds, rng);
+  simulator.run_until(6 * 3600.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(&broker.match());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BrokerMatch);
 
 }  // namespace

@@ -233,24 +233,17 @@ void SimGridBackend::set_event_sink(std::function<void(const obs::RunEvent&)> si
 
 ExecutionBackend::TimerId SimGridBackend::schedule(double delay_seconds,
                                                    std::function<void()> fn) {
-  const TimerId id = next_timer_++;
+  // The kernel's event ids are generation-checked, so they serve as timer
+  // ids directly: cancelling a timer that already fired is a no-op.
   ++live_timers_;
-  const sim::EventId event = grid_.simulator().schedule(
-      delay_seconds, [this, id, fn = std::move(fn)] {
-        timers_.erase(id);
-        --live_timers_;
-        fn();
-      });
-  timers_.emplace(id, event);
-  return id;
+  return grid_.simulator().schedule(delay_seconds, [this, fn = std::move(fn)] {
+    --live_timers_;
+    fn();
+  });
 }
 
 void SimGridBackend::cancel(TimerId id) {
-  const auto it = timers_.find(id);
-  if (it == timers_.end()) return;
-  grid_.simulator().cancel(it->second);
-  timers_.erase(it);
-  --live_timers_;
+  if (grid_.simulator().cancel(id)) --live_timers_;
 }
 
 bool SimGridBackend::drive(const std::function<bool()>& done) {

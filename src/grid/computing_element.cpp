@@ -43,12 +43,4 @@ void ComputingElement::occupy_slot(double seconds) {
   });
 }
 
-double ComputingElement::rank_estimate() const {
-  const auto capacity = static_cast<double>(config_.worker_slots);
-  const auto busy = static_cast<double>(workers_.in_use());
-  const auto queued = static_cast<double>(workers_.queue_length());
-  if (busy < capacity) return (busy / capacity - 1.0) / config_.speed_factor;
-  return queued / capacity / config_.speed_factor;
-}
-
 }  // namespace moteur::grid

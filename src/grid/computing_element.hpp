@@ -45,7 +45,14 @@ class ComputingElement {
   /// Broker ranking key: estimated wait. Negative while free slots remain
   /// (emptier and faster CEs rank lower/better); grows with queue depth once
   /// saturated (EGEE's EstimatedResponseTime rank, simplified).
-  double rank_estimate() const;
+  /// Inline: the broker calls it once per CE on every match.
+  double rank_estimate() const {
+    const auto capacity = static_cast<double>(config_.worker_slots);
+    const auto busy = static_cast<double>(workers_.in_use());
+    const auto queued = static_cast<double>(workers_.queue_length());
+    if (busy < capacity) return (busy / capacity - 1.0) / config_.speed_factor;
+    return queued / capacity / config_.speed_factor;
+  }
 
  private:
   void schedule_next_outage();

@@ -1,6 +1,7 @@
 #include "grid/resource_broker.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "grid/ce_health.hpp"
 #include "grid/overhead_model.hpp"
@@ -32,78 +33,89 @@ void ResourceBroker::remove_health(CeHealth* health) {
 void ResourceBroker::set_default_matchmaking(const std::string& name) {
   default_matchmaking_ =
       policy::PolicyRegistry::instance().matchmaking.check(name, "matchmaking policy");
+  default_entry_ = nullptr;
 }
 
-policy::MatchmakingPolicy& ResourceBroker::policy_for(const std::string& name) {
+void ResourceBroker::set_metrics(obs::MetricsRegistry* metrics) {
+  metrics_ = metrics;
+  for (auto& [name, entry] : policies_) entry.decisions = nullptr;
+}
+
+ResourceBroker::PolicyEntry& ResourceBroker::policy_for(const std::string& name) {
+  if (name.empty() && default_entry_ != nullptr) return *default_entry_;
   const std::string& key = name.empty() ? default_matchmaking_ : name;
   auto it = policies_.find(key);
   if (it == policies_.end()) {
-    it = policies_
-             .emplace(key, policy::PolicyRegistry::instance().matchmaking.make(
-                               key, policy_rng_base_))
-             .first;
+    auto policy = policy::PolicyRegistry::instance().matchmaking.make(key, policy_rng_base_);
+    it = policies_.emplace(key, PolicyEntry{std::move(policy), nullptr}).first;
   }
-  return *it->second;
+  if (name.empty()) default_entry_ = &it->second;
+  return it->second;
 }
 
 bool ResourceBroker::policy_wants_stage_in(const std::string& name) {
-  return policy_for(name).wants_stage_in();
+  return policy_for(name).policy->wants_stage_in();
 }
 
 ComputingElement& ResourceBroker::match(const StageInEstimator& stage_in,
                                         const MatchContext& context) {
   MOTEUR_REQUIRE(!ces_.empty(), ExecutionError, "resource broker has no computing elements");
   const double now = simulator_.now();
-  const auto admissible = [&](const std::string& name) {
+  const auto admissible = [&](const ComputingElement& ce) {
     return std::all_of(health_.begin(), health_.end(),
-                       [&](CeHealth* h) { return h->admissible(name, now); });
+                       [&](CeHealth* h) { return h->admissible(ce.name(), now); });
   };
-  const auto avoided = [&](const std::string& name) {
-    return std::find(context.avoid.begin(), context.avoid.end(), name) !=
+  const auto avoided = [&](const ComputingElement& ce) {
+    return std::find(context.avoid.begin(), context.avoid.end(), ce.name()) !=
            context.avoid.end();
   };
   // Candidate pool in registration order. Health vetoes drive the rerouting
   // accounting; placement avoidance just narrows the pool and never counts
   // as a reroute.
+  const bool vetted = !health_.empty();
   bool excluded_any = false;
-  std::vector<ComputingElement*> pool;
+  pool_.clear();
   for (const auto& ce : ces_) {
-    if (!admissible(ce->name())) {
+    if (vetted && !admissible(*ce)) {
       excluded_any = true;
       continue;
     }
-    if (!context.avoid.empty() && avoided(ce->name())) continue;
-    pool.push_back(ce.get());
+    if (!context.avoid.empty() && avoided(*ce)) continue;
+    pool_.push_back(ce.get());
   }
-  if (pool.empty() && !context.avoid.empty()) {
+  if (pool_.empty() && !context.avoid.empty()) {
     // Avoidance covered every healthy CE: drop the advisory constraint.
     for (const auto& ce : ces_) {
-      if (admissible(ce->name())) pool.push_back(ce.get());
+      if (!vetted || admissible(*ce)) pool_.push_back(ce.get());
     }
   }
-  if (pool.empty()) {
+  if (pool_.empty()) {
     // Every breaker is open (or half-open): degrade to ranking the full set
     // rather than stranding the submission.
     excluded_any = false;
-    for (const auto& ce : ces_) pool.push_back(ce.get());
+    for (const auto& ce : ces_) pool_.push_back(ce.get());
   }
-  std::vector<policy::CeCandidate> candidates;
-  candidates.reserve(pool.size());
-  for (ComputingElement* ce : pool) {
-    candidates.push_back(
-        {ce->name(), ce->rank_estimate(), stage_in ? stage_in(*ce) : 0.0});
+  candidates_.resize(pool_.size());
+  for (std::size_t i = 0; i < pool_.size(); ++i) {
+    const ComputingElement& ce = *pool_[i];
+    policy::CeCandidate& candidate = candidates_[i];
+    candidate.name = ce.name();
+    candidate.queue_rank = ce.rank_estimate();
+    candidate.stage_in_seconds = stage_in ? stage_in(ce) : 0.0;
   }
-  policy::MatchmakingPolicy& policy = policy_for(context.policy);
-  const std::size_t pick = policy.choose(candidates, tie_rng_);
-  MOTEUR_REQUIRE(pick < pool.size(), InternalError,
-                 "matchmaking policy '" + policy.name() + "' chose out of range");
-  ComputingElement* chosen = pool[pick];
+  PolicyEntry& entry = policy_for(context.policy);
+  const std::size_t pick = entry.policy->choose(candidates_, tie_rng_);
+  MOTEUR_REQUIRE(pick < pool_.size(), InternalError,
+                 "matchmaking policy '" + entry.policy->name() + "' chose out of range");
+  ComputingElement* chosen = pool_[pick];
   if (metrics_ != nullptr) {
-    metrics_
-        ->counter("moteur_policy_decisions_total",
-                  "Policy decisions by policy name and decision kind",
-                  {{"policy", policy.name()}, {"kind", "matchmaking"}})
-        .inc();
+    if (entry.decisions == nullptr) {
+      entry.decisions = &metrics_->counter(
+          "moteur_policy_decisions_total",
+          "Policy decisions by policy name and decision kind",
+          {{"policy", entry.policy->name()}, {"kind", "matchmaking"}});
+    }
+    entry.decisions->inc();
   }
   for (CeHealth* h : health_) {
     if (excluded_any) h->note_rerouted(now);

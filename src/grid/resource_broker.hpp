@@ -13,6 +13,7 @@
 #include "util/rng.hpp"
 
 namespace moteur::obs {
+class Counter;
 class MetricsRegistry;
 }
 
@@ -73,7 +74,7 @@ class ResourceBroker {
   bool policy_wants_stage_in(const std::string& name);
 
   /// Per-policy decision counters land here when attached. Not owned.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Attach (or detach, with nullptr) the per-CE circuit-breaker ledger
   /// consulted during matchmaking, displacing any ledgers already attached.
@@ -95,7 +96,14 @@ class ResourceBroker {
   void remove_health(CeHealth* health);
 
  private:
-  policy::MatchmakingPolicy& policy_for(const std::string& name);
+  /// One instantiated policy plus its decision counter in the attached
+  /// registry (resolved on first use, forgotten when the registry changes).
+  struct PolicyEntry {
+    std::unique_ptr<policy::MatchmakingPolicy> policy;
+    obs::Counter* decisions = nullptr;
+  };
+
+  PolicyEntry& policy_for(const std::string& name);
 
   sim::Simulator& simulator_;
   OverheadModel& overhead_;
@@ -104,10 +112,14 @@ class ResourceBroker {
   Rng tie_rng_;
   Rng policy_rng_base_;
   std::string default_matchmaking_;
-  std::map<std::string, std::unique_ptr<policy::MatchmakingPolicy>> policies_;
+  std::map<std::string, PolicyEntry> policies_;
+  PolicyEntry* default_entry_ = nullptr;  // policies_[default_matchmaking_]
   obs::MetricsRegistry* metrics_ = nullptr;  // not owned
   std::vector<std::unique_ptr<ComputingElement>> ces_;
   std::vector<CeHealth*> health_;  // not owned
+  // match() work buffers, reused so steady-state matchmaking never allocates.
+  std::vector<ComputingElement*> pool_;
+  std::vector<policy::CeCandidate> candidates_;
 };
 
 }  // namespace moteur::grid

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -12,8 +13,9 @@ namespace moteur::policy {
 /// Flat snapshot of one computing element at match instant. Policies see
 /// plain names and numbers — never grid types — so this layer stays below
 /// grid/enactor/service in the dependency order and all three can link it.
+/// `name` views the CE's own name and is valid for the duration of choose().
 struct CeCandidate {
-  std::string name;
+  std::string_view name;
   double queue_rank = 0.0;        ///< broker queue-based response estimate
   double stage_in_seconds = 0.0;  ///< estimated input staging cost (0 when blind)
 };

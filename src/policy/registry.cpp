@@ -9,6 +9,39 @@ namespace {
 // ---------------------------------------------------------------------------
 // Matchmaking built-ins
 
+/// -1 when a < b, 0 when a == b, 1 otherwise (NaN compares as "not better").
+int compare(double a, double b) {
+  if (a < b) return -1;
+  return a == b ? 0 : 1;
+}
+
+/// The index of the best candidate under `order(i, lead)` (-1: candidate i
+/// beats the current lead, 0: ties it), the first one winning unless ties
+/// occur. Exact ties are broken by one tie-stream draw over the tied
+/// candidates in list order — the draw sequence of the historical broker,
+/// made without collecting the tied indices.
+template <class Order>
+std::size_t pick_tied(const std::vector<CeCandidate>& candidates, Rng& tie_rng,
+                      Order order) {
+  std::size_t best = 0;
+  std::size_t ties = 1;
+  for (std::size_t i = 1; i < candidates.size(); ++i) {
+    const int c = order(i, best);
+    if (c < 0) {
+      best = i;
+      ties = 1;
+    } else if (c == 0) {
+      ++ties;
+    }
+  }
+  if (ties == 1) return best;
+  auto k = static_cast<std::size_t>(
+      tie_rng.uniform_int(0, static_cast<std::int64_t>(ties) - 1));
+  for (std::size_t i = best;; ++i) {
+    if (order(i, best) == 0 && k-- == 0) return i;
+  }
+}
+
 /// The historical broker ranking: queue estimate plus whatever stage-in
 /// estimate the caller supplied (zero when matchmaking blind), exact-tie
 /// break drawn from the broker's tie stream only when more than one CE
@@ -23,23 +56,12 @@ class QueueRankPolicy : public MatchmakingPolicy {
 
   std::size_t choose(const std::vector<CeCandidate>& candidates,
                      Rng& tie_rng) override {
-    double best_rank = 0.0;
-    std::vector<std::size_t> best;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const double rank = candidates[i].queue_rank + candidates[i].stage_in_seconds;
-      if (best.empty() || rank < best_rank) {
-        best_rank = rank;
-        best = {i};
-      } else if (rank == best_rank) {
-        best.push_back(i);
-      }
-    }
-    if (best.size() > 1) {
-      const auto pick = static_cast<std::size_t>(
-          tie_rng.uniform_int(0, static_cast<std::int64_t>(best.size()) - 1));
-      return best[pick];
-    }
-    return best.front();
+    const auto rank = [&](std::size_t i) {
+      return candidates[i].queue_rank + candidates[i].stage_in_seconds;
+    };
+    return pick_tied(candidates, tie_rng, [&](std::size_t i, std::size_t lead) {
+      return compare(rank(i), rank(lead));
+    });
   }
 
  private:
@@ -64,29 +86,12 @@ class LocalityFirstPolicy : public MatchmakingPolicy {
 
   std::size_t choose(const std::vector<CeCandidate>& candidates,
                      Rng& tie_rng) override {
-    std::vector<std::size_t> best;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (best.empty()) {
-        best = {i};
-        continue;
-      }
-      const CeCandidate& lead = candidates[best.front()];
-      const CeCandidate& c = candidates[i];
-      if (c.stage_in_seconds < lead.stage_in_seconds ||
-          (c.stage_in_seconds == lead.stage_in_seconds &&
-           c.queue_rank < lead.queue_rank)) {
-        best = {i};
-      } else if (c.stage_in_seconds == lead.stage_in_seconds &&
-                 c.queue_rank == lead.queue_rank) {
-        best.push_back(i);
-      }
-    }
-    if (best.size() > 1) {
-      const auto pick = static_cast<std::size_t>(
-          tie_rng.uniform_int(0, static_cast<std::int64_t>(best.size()) - 1));
-      return best[pick];
-    }
-    return best.front();
+    return pick_tied(candidates, tie_rng, [&](std::size_t i, std::size_t lead) {
+      const int by_stage_in = compare(candidates[i].stage_in_seconds,
+                                      candidates[lead].stage_in_seconds);
+      if (by_stage_in != 0) return by_stage_in;
+      return compare(candidates[i].queue_rank, candidates[lead].queue_rank);
+    });
   }
 
  private:

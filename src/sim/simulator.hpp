@@ -2,9 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 namespace moteur::sim {
@@ -12,12 +9,18 @@ namespace moteur::sim {
 /// Simulated time, in seconds since the start of the run.
 using Time = double;
 
-/// Opaque identifier of a scheduled event; usable to cancel it.
+/// Opaque identifier of a scheduled event; usable to cancel it. Packs the
+/// event's slot (low 32 bits) with the slot's generation (high 32 bits), so
+/// an id outlives its event harmlessly: once the event runs or is cancelled
+/// the slot's generation moves on and the old id matches nothing.
 using EventId = std::uint64_t;
 
 /// Discrete-event simulation kernel.
 ///
-/// Events are (time, callback) pairs kept in a priority queue. Ties on time
+/// Events are (time, callback) pairs. Callbacks live in a slab of slots
+/// recycled through a free list; a 4-ary min-heap orders (time, sequence,
+/// slot, generation) entries, and entries whose generation no longer matches
+/// their slot (cancelled events) are skipped when they surface. Ties on time
 /// are broken by insertion order, which makes runs fully deterministic: the
 /// same schedule of calls always replays the same execution. All grid
 /// components (broker, computing elements, transfers) and the simulated
@@ -37,7 +40,7 @@ class Simulator {
   EventId schedule_at(Time at, std::function<void()> fn);
 
   /// Cancel a pending event. Returns false if it already ran, was already
-  /// cancelled, or never existed.
+  /// cancelled, or never existed — also once its slot holds a newer event.
   bool cancel(EventId id);
 
   /// Run one event. Returns false when the queue is empty.
@@ -55,25 +58,36 @@ class Simulator {
   std::uint64_t executed_events() const { return executed_; }
 
  private:
+  struct Slot {
+    std::function<void()> fn;
+    std::uint32_t generation = 1;  // bumped on free; ids start non-zero
+    bool live = false;
+  };
   struct Entry {
     Time time;
     std::uint64_t sequence;  // insertion order; tie-breaker
-    EventId id;
+    std::uint32_t slot;
+    std::uint32_t generation;
   };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.sequence > b.sequence;
-    }
-  };
+
+  static bool earlier(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.sequence < b.sequence;
+  }
+  bool stale(const Entry& entry) const {
+    return slots_[entry.slot].generation != entry.generation;
+  }
+  void push(const Entry& entry);
+  void pop();
+  /// Drops stale entries off the top; false when no live event remains.
+  bool prune();
+  void free_slot(std::uint32_t slot);
 
   Time now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
-  EventId next_id_ = 1;
-  std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
-  // id -> callback; erased on run or cancel. Queue entries whose id is absent
-  // here are tombstones and get skipped.
-  std::unordered_map<EventId, std::function<void()>> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // reusable slot indices, LIFO
+  std::vector<Entry> heap_;          // 4-ary min-heap on (time, sequence)
   std::size_t live_events_ = 0;
   std::uint64_t executed_ = 0;
 };

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 #include <vector>
 
+#include "alloc_count.hpp"
+#include "grid/background_load.hpp"
 #include "grid/grid.hpp"
+#include "grid/overhead_model.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
@@ -211,6 +216,52 @@ TEST(GridEgee, BackgroundLoadSlowsForegroundJobs) {
     return last;
   };
   EXPECT_GT(makespan_with_background(400.0), makespan_with_background(0.0));
+}
+
+/// A broker over the egee2006 sites whose background load has run for six
+/// simulated hours, so the CEs carry the busy slots and queues matchmaking
+/// ranks in a real run.
+struct LoadedBroker {
+  explicit LoadedBroker(std::uint64_t seed)
+      : config(GridConfig::egee2006(seed)),
+        rng(seed),
+        overhead(config, rng),
+        broker(simulator, overhead, config.broker_concurrency,
+               config.broker_occupancy_fraction, rng) {
+    for (const auto& ce : config.computing_elements) {
+      broker.add_computing_element(
+          std::make_unique<ComputingElement>(simulator, ce, rng));
+    }
+    background = std::make_unique<BackgroundLoad>(
+        simulator, broker, config.background_jobs_per_hour,
+        config.background_mean_duration, config.background_horizon_seconds, rng);
+    simulator.run_until(6 * 3600.0);
+  }
+
+  sim::Simulator simulator;
+  GridConfig config;
+  Rng rng;
+  OverheadModel overhead;
+  ResourceBroker broker;
+  std::unique_ptr<BackgroundLoad> background;
+};
+
+TEST(BrokerMatch, AllocatesNothingAfterTheFirstCall) {
+  LoadedBroker grid(11);
+  ASSERT_GT(grid.background->jobs_generated(), 0u);
+  obs::MetricsRegistry metrics;
+  grid.broker.set_metrics(&metrics);
+  // The first match instantiates the policy, resolves its decision counter
+  // and sizes the work buffers.
+  grid.broker.match();
+  const std::size_t before = allocation_count();
+  for (int i = 0; i < 1000; ++i) grid.broker.match();
+  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_DOUBLE_EQ(metrics
+                       .counter("moteur_policy_decisions_total", "",
+                                {{"policy", "queue-rank"}, {"kind", "matchmaking"}})
+                       .value(),
+                   1001.0);
 }
 
 }  // namespace

@@ -131,6 +131,92 @@ TEST(MatchmakingPolicies, LocalityFirstPrefersCheapStageIn) {
   EXPECT_EQ(policy->choose(candidates(), tie), 2u);
 }
 
+// The vector-collecting tie-breaks the single-pass policies replaced, kept as
+// reference models: queue-rank (also data-gravity's ranking) and
+// locality-first must pick the same index and draw the same tie stream.
+std::size_t reference_queue_rank(const std::vector<policy::CeCandidate>& candidates,
+                                 Rng& tie_rng) {
+  double best_rank = 0.0;
+  std::vector<std::size_t> best;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const double rank = candidates[i].queue_rank + candidates[i].stage_in_seconds;
+    if (best.empty() || rank < best_rank) {
+      best_rank = rank;
+      best = {i};
+    } else if (rank == best_rank) {
+      best.push_back(i);
+    }
+  }
+  if (best.size() > 1) {
+    const auto pick = static_cast<std::size_t>(
+        tie_rng.uniform_int(0, static_cast<std::int64_t>(best.size()) - 1));
+    return best[pick];
+  }
+  return best.front();
+}
+
+std::size_t reference_locality_first(const std::vector<policy::CeCandidate>& candidates,
+                                     Rng& tie_rng) {
+  std::vector<std::size_t> best;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (best.empty()) {
+      best = {i};
+      continue;
+    }
+    const policy::CeCandidate& lead = candidates[best.front()];
+    const policy::CeCandidate& c = candidates[i];
+    if (c.stage_in_seconds < lead.stage_in_seconds ||
+        (c.stage_in_seconds == lead.stage_in_seconds && c.queue_rank < lead.queue_rank)) {
+      best = {i};
+    } else if (c.stage_in_seconds == lead.stage_in_seconds &&
+               c.queue_rank == lead.queue_rank) {
+      best.push_back(i);
+    }
+  }
+  if (best.size() > 1) {
+    const auto pick = static_cast<std::size_t>(
+        tie_rng.uniform_int(0, static_cast<std::int64_t>(best.size()) - 1));
+    return best[pick];
+  }
+  return best.front();
+}
+
+TEST(MatchmakingPolicies, TieBreaksReplayTheVectorBasedReference) {
+  using Reference = std::size_t (*)(const std::vector<policy::CeCandidate>&, Rng&);
+  const std::pair<const char*, Reference> cases[] = {
+      {"queue-rank", reference_queue_rank},
+      {"data-gravity", reference_queue_rank},
+      {"locality-first", reference_locality_first}};
+  std::vector<std::string> names;
+  for (int i = 0; i < 20; ++i) names.push_back("ce-" + std::to_string(i));
+  Rng lists(2024);
+  for (const auto& [name, reference] : cases) {
+    const auto policy = PolicyRegistry::instance().matchmaking.make(name, Rng(5));
+    for (std::uint64_t trial = 0; trial < 500; ++trial) {
+      // 2-20 CEs whose ranks come from a handful of values (negative ones
+      // too, as for sites with free slots), so exact ties are the norm; every
+      // fifth list is one value throughout, so all of its CEs tie.
+      const auto n = static_cast<std::size_t>(lists.uniform_int(2, 20));
+      const bool all_tied = trial % 5 == 0;
+      std::vector<policy::CeCandidate> candidates;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double queue =
+            all_tied ? -0.5 : 0.5 * static_cast<double>(lists.uniform_int(-2, 3));
+        const double stage_in =
+            all_tied ? 1.0 : static_cast<double>(lists.uniform_int(0, 2));
+        candidates.push_back({names[i], queue, stage_in});
+      }
+      Rng tie_policy(trial);
+      Rng tie_reference(trial);
+      EXPECT_EQ(policy->choose(candidates, tie_policy),
+                reference(candidates, tie_reference))
+          << name << ", trial " << trial;
+      EXPECT_EQ(tie_policy.uniform_int(0, 1 << 30), tie_reference.uniform_int(0, 1 << 30))
+          << name << ", trial " << trial << ": tie stream diverged";
+    }
+  }
+}
+
 TEST(MatchmakingPolicies, KChoicesIsDeterministicPerSeedAndIgnoresTieStream) {
   const Rng base(42);
   const auto reg = &PolicyRegistry::instance();
