@@ -1,7 +1,7 @@
 // E9 — Microbenchmarks of the hot enactor-side paths: descriptor parsing,
-// dynamic command-line composition, iteration-buffer matching, provenance
-// construction, the grouping optimizer, the discrete-event kernel and the
-// resource broker's matchmaking.
+// dynamic command-line composition, iteration-buffer matching (flat and
+// composed), token copies, provenance construction, the grouping optimizer,
+// the discrete-event kernel and the resource broker's matchmaking.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -17,6 +17,7 @@
 #include "sim/simulator.hpp"
 #include "workflow/grouping.hpp"
 #include "workflow/iteration.hpp"
+#include "workflow/iteration_tree.hpp"
 #include "workflow/scufl.hpp"
 
 namespace {
@@ -97,6 +98,63 @@ void BM_CrossProductMatching(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n * n));
 }
 BENCHMARK(BM_CrossProductMatching)->Arg(8)->Arg(32)->Arg(64);
+
+// Push plus pump through the engine's iteration layer: N tokens per port
+// into a flat 2-port dot (range(1) == 0) or into cross(dot(a,b),c)
+// (range(1) == 1), draining every firing tuple. Tokens are built once.
+void BM_CompositeIterationPush(benchmark::State& state) {
+  using workflow::IterationNode;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool nested = state.range(1) != 0;
+  std::vector<std::string> ports{"a", "b"};
+  if (nested) ports.push_back("c");
+  std::vector<std::vector<data::Token>> tokens(ports.size());
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::string value = "gfn://" + ports[p] + "/" + std::to_string(j);
+      tokens[p].push_back(data::Token::from_source(ports[p], j, value, value));
+    }
+  }
+  const auto tree = [&] {
+    auto ab = IterationNode::dot({IterationNode::leaf("a"), IterationNode::leaf("b")});
+    if (!nested) return ab;
+    return IterationNode::cross({std::move(ab), IterationNode::leaf("c")});
+  };
+  std::size_t tuples = 0;
+  for (auto _ : state) {
+    workflow::CompositeIterationBuffer buffer(tree());
+    for (std::size_t p = 0; p < ports.size(); ++p) {
+      const std::size_t slot = buffer.port_index(ports[p]);
+      for (const auto& token : tokens[p]) buffer.push(slot, token);
+    }
+    const auto ready = buffer.drain_ready();
+    tuples = ready.size();
+    benchmark::DoNotOptimize(ready.data());
+  }
+  state.counters["tuples"] = static_cast<double>(tuples);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n * ports.size()));
+}
+BENCHMARK(BM_CompositeIterationPush)
+    ->ArgsProduct({{16, 128}, {0, 1}})
+    ->ArgNames({"n", "nested"});
+
+// Copying one derived token, the way fan-out and bindings copy them.
+void BM_TokenCopy(benchmark::State& state) {
+  const std::string ref = "gfn://images/p3_ref.mhd";
+  const std::string flo = "gfn://images/p3_flo.mhd";
+  const data::Token a = data::Token::from_source("referenceImage", 3, ref, ref);
+  const data::Token b = data::Token::from_source("floatingImage", 3, flo, flo);
+  const std::string out =
+      "gfn://crestLines/crest_reference(" + a.id() + "," + b.id() + ")";
+  const data::Token token =
+      data::Token::derived("crestLines", "crest_reference", {a, b}, {3}, out, out);
+  for (auto _ : state) {
+    data::Token copy = token;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_TokenCopy);
 
 void BM_ProvenanceChain(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));

@@ -16,9 +16,30 @@ namespace moteur::data {
 ///
 /// Trees are shared (shared_ptr DAG) and hash-consed into a canonical string
 /// key, so equality checks and map lookups are O(1) string compares.
+///
+/// Every node also carries a flat summary of the workflow-source items it
+/// derives from, merged from its children once when the node is built, so
+/// lineage questions (the dot-product causality check) never walk the tree.
 class Provenance {
  public:
   using Ptr = std::shared_ptr<const Provenance>;
+
+  /// One workflow-source item reachable from a node. `source` points at the
+  /// process-wide interned copy of the source name: equal names share one
+  /// pointer, so comparing two items' sources is a pointer comparison.
+  struct SourceItem {
+    const std::string* source;
+    std::size_t index;
+  };
+  /// A node's source summary: sorted by (source name, index), without
+  /// duplicates, so each source's items form one contiguous run.
+  using Sources = std::vector<SourceItem>;
+
+  /// Lexicographic (source name, index) order of a Sources list.
+  static bool source_less(const SourceItem& a, const SourceItem& b) {
+    if (a.source != b.source) return *a.source < *b.source;
+    return a.index < b.index;
+  }
 
   /// Leaf: the `index`-th item produced by workflow source `source_name`.
   static Ptr source(const std::string& source_name, std::size_t index);
@@ -36,8 +57,13 @@ class Provenance {
   /// Canonical key, e.g. "crestMatch.out(ref[0],flo[0])". Built once.
   const std::string& key() const { return key_; }
 
-  /// Every (source name -> set of item indices) reachable from this node.
-  /// Dot-product causality checks use this to detect incompatible lineage.
+  /// Every workflow-source item reachable from this node, as a flat sorted
+  /// list (see Sources). Built once, when the node is; a node whose inputs
+  /// add nothing to one input's list shares that list instead of a copy.
+  const Sources& sources() const { return *sources_; }
+
+  /// Every (source name -> set of item indices) reachable from this node: a
+  /// map view rebuilt from sources() on each call.
   std::map<std::string, std::set<std::size_t>> source_indices() const;
 
   /// Total number of nodes in the tree (shared subtrees counted once).
@@ -47,13 +73,24 @@ class Provenance {
   std::size_t depth() const;
 
  private:
-  Provenance() = default;
+  struct Passkey {
+    explicit Passkey() = default;
+  };
 
+ public:
+  /// Use source() or derived(); public only so make_shared can reach it.
+  explicit Provenance(Passkey) {}
+  Provenance(const Provenance&) = delete;
+  Provenance& operator=(const Provenance&) = delete;
+
+ private:
   std::string producer_;       // processor or source name
   std::string port_;           // empty for leaves
   std::size_t source_index_ = 0;
   std::vector<Ptr> inputs_;
   std::string key_;
+  Sources own_sources_;                  // empty when sharing an input's list
+  const Sources* sources_ = &own_sources_;  // own_sources_ or an input's list
 };
 
 bool operator==(const Provenance& a, const Provenance& b);

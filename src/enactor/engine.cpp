@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "data/replica_catalog.hpp"
 #include "policy/registry.hpp"
@@ -114,7 +115,8 @@ void Engine::build_states() {
     if (proc.kind == ProcessorKind::kService) {
       state.service = registry_.resolve(proc);
       if (proc.synchronization) {
-        for (const auto& port : proc.input_ports) state.collected[port];
+        state.collected.resize(proc.input_ports.size());
+        state.collected_closed.assign(proc.input_ports.size(), false);
       } else if (proc.iteration_tree != nullptr) {
         state.buffer = std::make_unique<CompositeIterationBuffer>(*proc.iteration_tree);
       } else {
@@ -130,22 +132,22 @@ void Engine::build_states() {
       }
       check_binding(state);
     } else if (proc.kind == ProcessorKind::kSink) {
-      state.collected["in"];
+      state.collected.resize(1);  // its one port, "in"
+      state.collected_closed.assign(1, false);
     }
     states_.emplace(proc.name, std::move(state));
+    ++unfinished_;
   }
 
   // Resolve the hot-path caches now that every PState has its final address
   // (std::map nodes are stable): outlets, stage/coordination waits, per-port
-  // inlets with producer pointers, and the link -> consumer index. After
-  // this, the per-event paths never resolve a processor name again.
+  // slots and inlets with producer pointers, and the link -> consumer index.
+  // After this, the per-event paths never resolve a name again.
   topo_states_.reserve(topo_order_.size());
   for (const auto& name : topo_order_) topo_states_.push_back(&states_.at(name));
+  link_consumer_.assign(workflow_.links().size(), Consumer{});
   for (auto& [name, state] : states_) {
     state.outlets = workflow_.links_out_of(name);
-    for (const Link* link : state.outlets) {
-      link_consumer_.emplace(link, &states_.at(link->to_processor));
-    }
     for (const auto& pred : stage_predecessors.at(name)) {
       state.stage_preds.push_back(&states_.at(pred));
     }
@@ -157,15 +159,50 @@ void Engine::build_states() {
     const auto& ports = state.proc->kind == ProcessorKind::kSink
                             ? std::vector<std::string>{"in"}
                             : state.proc->input_ports;
-    for (const auto& port : ports) {
-      std::vector<PState::Inlet> inlets;
-      for (const Link* link : workflow_.links_into_port(name, port)) {
-        inlets.push_back(PState::Inlet{
+    for (std::size_t i = 0; i < ports.size(); ++i) {
+      PState::InPort in_port;
+      in_port.slot = state.buffer != nullptr ? state.buffer->port_index(ports[i]) : i;
+      for (const Link* link : workflow_.links_into_port(name, ports[i])) {
+        in_port.inlets.push_back(PState::Inlet{
             link, link->feedback ? nullptr : &states_.at(link->from_processor)});
+        link_consumer_[link_position(*link)] = Consumer{&state, in_port.slot};
       }
-      state.inlets.emplace_back(port, std::move(inlets));
+      state.in_ports.push_back(std::move(in_port));
     }
   }
+  for (const Link& link : workflow_.links()) {
+    MOTEUR_REQUIRE(link_consumer_[link_position(link)].state != nullptr, InternalError,
+                   "link into '" + link.to_processor + "." + link.to_port +
+                       "' has no consuming port");
+  }
+}
+
+std::size_t Engine::link_position(const Link& link) const {
+  return static_cast<std::size_t>(&link - workflow_.links().data());
+}
+
+bool Engine::PState::is_collector() const {
+  return proc->kind == ProcessorKind::kSink ||
+         (proc->kind == ProcessorKind::kService && proc->synchronization);
+}
+
+bool Engine::PState::port_closed(std::size_t slot) const {
+  return is_collector() ? collected_closed[slot] : buffer->is_closed(slot);
+}
+
+void Engine::PState::close_port(std::size_t slot) {
+  if (!is_collector()) {
+    buffer->close(slot);
+  } else if (!collected_closed[slot]) {
+    collected_closed[slot] = true;
+    ++collected_closed_count;
+  }
+}
+
+void Engine::mark_finished(PState& state) {
+  if (state.finished) return;
+  state.finished = true;
+  --unfinished_;
 }
 
 void Engine::check_binding(const PState& state) const {
@@ -206,14 +243,15 @@ void Engine::emit_sources() {
         }
       }
     }
-    state_of(source->name).finished = true;
+    mark_finished(state_of(source->name));
     MOTEUR_LOG(kDebug, "enactor") << "source '" << source->name << "' emitted "
                                   << items.size() << " items";
   }
 }
 
 void Engine::deliver(const Link& link, data::Token token) {
-  PState& consumer = *link_consumer_.at(&link);
+  const Consumer& to = link_consumer_[link_position(link)];
+  PState& consumer = *to.state;
   if (link.feedback) {
     // A token crossing a feedback link opens a new loop iteration: extend
     // its index with the per-link iteration counter so it cannot collide
@@ -225,15 +263,12 @@ void Engine::deliver(const Link& link, data::Token token) {
     token = data::Token(token.payload(), token.repr(), std::move(extended),
                         token.provenance());
   }
-  if (consumer.proc->kind == ProcessorKind::kSink ||
-      (consumer.proc->kind == ProcessorKind::kService && consumer.proc->synchronization)) {
-    consumer.collected[link.to_port].push_back(std::move(token));
+  if (consumer.is_collector()) {
+    consumer.collected[to.slot].push_back(std::move(token));
     return;
   }
-  consumer.buffer->push(link.to_port, std::move(token));
-  for (auto& tuple : consumer.buffer->drain_ready()) {
-    consumer.ready.push_back(std::move(tuple));
-  }
+  consumer.buffer->push(to.slot, std::move(token));
+  consumer.buffer->drain_ready_into(consumer.ready);
 }
 
 bool Engine::cacheable(const PState& state) const {
@@ -484,8 +519,9 @@ void Engine::fire_barrier(PState& state) {
   // stream as a std::vector<data::Token> payload.
   services::Inputs binding;
   IterationBuffer::Tuple pseudo_tuple;  // provenance carrier for the outputs
-  for (const auto& port : state.proc->input_ports) {
-    auto tokens = std::move(state.collected[port]);
+  for (std::size_t slot = 0; slot < state.proc->input_ports.size(); ++slot) {
+    const std::string& port = state.proc->input_ports[slot];
+    auto tokens = std::move(state.collected[slot]);
     // A barrier aggregates over the survivors: poisoned tokens drop out of
     // the stream here (they carry no payload to aggregate).
     tokens.erase(std::remove_if(tokens.begin(), tokens.end(),
@@ -1118,36 +1154,26 @@ bool Engine::closure_pass() {
     const Processor& proc = *state.proc;
     if (proc.kind == ProcessorKind::kSource) continue;  // finished at emit
 
-    const bool is_collector =
-        proc.kind == ProcessorKind::kSink || (proc.kind == ProcessorKind::kService &&
-                                              proc.synchronization);
-
     // Close input ports whose feeders are all done. Ports with feedback
     // inlets are only closed by try_feedback_closure().
-    for (const auto& [port, inlets] : state.inlets) {
-      const bool already_closed = is_collector ? state.collected_closed.count(port) != 0
-                                               : state.buffer->is_closed(port);
-      if (already_closed) continue;
+    for (const PState::InPort& in_port : state.in_ports) {
+      if (state.port_closed(in_port.slot)) continue;
       bool closable = true;
-      for (const PState::Inlet& inlet : inlets) {
+      for (const PState::Inlet& inlet : in_port.inlets) {
         if (inlet.producer == nullptr || !inlet.producer->finished) {
           closable = false;
           break;
         }
       }
       if (!closable) continue;
-      if (is_collector) {
-        state.collected_closed.insert(port);
-      } else {
-        state.buffer->close(port);
-      }
+      state.close_port(in_port.slot);
       progress = true;
     }
 
     // Fire a synchronization barrier once its whole input is in.
+    const bool all_collected = state.collected_closed_count == state.collected.size();
     if (proc.kind == ProcessorKind::kService && proc.synchronization &&
-        !state.sync_fired && state.collected_closed.size() == proc.input_ports.size() &&
-        can_fire(state)) {
+        !state.sync_fired && all_collected && can_fire(state)) {
       fire_barrier(state);
       progress = true;
     }
@@ -1155,14 +1181,14 @@ bool Engine::closure_pass() {
     // Promote to finished.
     bool done = false;
     if (proc.kind == ProcessorKind::kSink) {
-      done = state.collected_closed.size() == 1;
+      done = all_collected;
     } else if (proc.synchronization) {
       done = state.sync_fired && state.in_flight == 0;
     } else {
       done = state.buffer->all_closed() && state.ready.empty() && state.in_flight == 0;
     }
     if (done) {
-      state.finished = true;
+      mark_finished(state);
       progress = true;
       MOTEUR_LOG(kDebug, "enactor") << "processor '" << proc.name << "' finished after "
                                     << state.fired << " invocation(s)";
@@ -1198,14 +1224,11 @@ bool Engine::try_feedback_closure() {
   for (PState* state_ptr : topo_states_) {
     PState& state = *state_ptr;
     if (state.finished || state.proc->kind != ProcessorKind::kService) continue;
-    for (const auto& [port, inlets] : state.inlets) {
-      const bool is_collector = state.proc->synchronization;
-      const bool already_closed = is_collector ? state.collected_closed.count(port) != 0
-                                               : state.buffer->is_closed(port);
-      if (already_closed) continue;
+    for (const PState::InPort& in_port : state.in_ports) {
+      if (state.port_closed(in_port.slot)) continue;
       bool has_feedback = false;
       bool rest_closed = true;
-      for (const PState::Inlet& inlet : inlets) {
+      for (const PState::Inlet& inlet : in_port.inlets) {
         if (inlet.producer == nullptr) {
           has_feedback = true;
         } else if (!inlet.producer->finished) {
@@ -1213,11 +1236,7 @@ bool Engine::try_feedback_closure() {
         }
       }
       if (!has_feedback || !rest_closed) continue;
-      if (is_collector) {
-        state.collected_closed.insert(port);
-      } else {
-        state.buffer->close(port);
-      }
+      state.close_port(in_port.slot);
       progress = true;
     }
   }
@@ -1225,12 +1244,7 @@ bool Engine::try_feedback_closure() {
   return progress;
 }
 
-bool Engine::all_finished() const {
-  return std::all_of(states_.begin(), states_.end(),
-                     [](const auto& entry) { return entry.second.finished; });
-}
-
-bool Engine::finished() const { return all_finished(); }
+bool Engine::finished() const { return unfinished_ == 0; }
 
 bool Engine::try_unstall() { return try_feedback_closure(); }
 
@@ -1263,7 +1277,7 @@ EnactmentResult Engine::finish() {
   // Collect sinks, sorted by iteration index. Poisoned tokens never count as
   // outputs: they are tallied in the failure report instead.
   for (const Processor* sink : workflow_.sinks()) {
-    auto tokens = std::move(state_of(sink->name).collected["in"]);
+    auto tokens = std::move(state_of(sink->name).collected.front());
     const auto poisoned_begin =
         std::stable_partition(tokens.begin(), tokens.end(),
                               [](const data::Token& t) { return !t.poisoned(); });

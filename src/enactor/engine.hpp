@@ -5,9 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -93,8 +91,11 @@ class Engine : public std::enable_shared_from_this<Engine> {
     const workflow::Processor* proc = nullptr;
     std::shared_ptr<services::Service> service;  // null for sources/sinks
     std::unique_ptr<workflow::CompositeIterationBuffer> buffer;  // plain services
-    std::map<std::string, std::vector<data::Token>> collected;  // sync + sinks
-    std::set<std::string> collected_closed;  // closed ports (sync/sink)
+    /// Sync services and sinks: the tokens and closure of each input port,
+    /// by its index in proc->input_ports.
+    std::vector<std::vector<data::Token>> collected;
+    std::vector<bool> collected_closed;
+    std::size_t collected_closed_count = 0;
     std::deque<workflow::IterationBuffer::Tuple> ready;
     std::size_t in_flight = 0;  // unresolved logical submissions
     std::size_t fired = 0;
@@ -108,13 +109,24 @@ class Engine : public std::enable_shared_from_this<Engine> {
       const PState* producer = nullptr;
     };
 
+    /// One input port: its slot (leaf index in the iteration buffer, or
+    /// index into `collected`) and the links feeding it.
+    struct InPort {
+      std::size_t slot = 0;
+      std::vector<Inlet> inlets;
+    };
+
     // Hot-path caches, built once by build_states(): the dispatch/closure
     // passes and per-completion delivery run per event, so they must not
     // re-resolve names through states_ or rebuild link vectors per call.
-    std::vector<const workflow::Link*> outlets;       // links_out_of(proc)
-    std::vector<const PState*> stage_preds;           // SP-off barrier waits
-    std::vector<const PState*> coord_waits;           // coordination constraints
-    std::vector<std::pair<std::string, std::vector<Inlet>>> inlets;  // per port
+    std::vector<const workflow::Link*> outlets;  // links_out_of(proc)
+    std::vector<const PState*> stage_preds;      // SP-off barrier waits
+    std::vector<const PState*> coord_waits;      // coordination constraints
+    std::vector<InPort> in_ports;                // per input port
+
+    bool is_collector() const;
+    bool port_closed(std::size_t slot) const;
+    void close_port(std::size_t slot);
   };
 
   /// One logical unit of work handed to the backend: a (possibly batched)
@@ -242,7 +254,9 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// Median backend latency of successful submissions so far (0 if none).
   double median_latency() const;
   bool try_feedback_closure();
-  bool all_finished() const;
+  void mark_finished(PState& state);
+  /// Position of `link` in workflow_.links(): its key in link_consumer_.
+  std::size_t link_position(const workflow::Link& link) const;
   void check_binding(const PState& state) const;
 
   PState& state_of(const std::string& name) { return states_.at(name); }
@@ -273,10 +287,16 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// states_ entries in topological order — the per-pass iteration order,
   /// resolved once so the passes never look names up again.
   std::vector<PState*> topo_states_;
-  /// Link -> consuming state, so deliver() resolves per token without a
-  /// string map lookup. Keys are pointers into workflow_.links(), which is
-  /// stable after construction.
-  std::unordered_map<const workflow::Link*, PState*> link_consumer_;
+  /// Where a link delivers: the consuming state and its input slot.
+  struct Consumer {
+    PState* state = nullptr;
+    std::size_t slot = 0;
+  };
+  /// Per link, by its position in workflow_.links() (stable after
+  /// construction), so deliver() resolves a token's destination by index.
+  std::vector<Consumer> link_consumer_;
+  /// Processors not yet finished: finished() is a counter test, not a walk.
+  std::size_t unfinished_ = 0;
   /// Iteration counters per feedback link (index extension, see deliver()).
   std::map<const workflow::Link*, std::size_t> feedback_counters_;
   /// Scratch buffer for median_latency(): reused so the per-watchdog median

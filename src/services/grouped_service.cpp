@@ -17,6 +17,11 @@ GroupedService::GroupedService(std::string id, std::vector<Member> members,
     MOTEUR_REQUIRE(member.service != nullptr, InternalError,
                    "grouped service member '" + member.name + "' has no implementation");
   }
+  internal_leaves_.reserve(internal_links_.size());
+  for (const auto& link : internal_links_) {
+    internal_leaves_.push_back(data::Provenance::source(
+        this->id() + "." + link.from_member + "." + link.from_port, 0));
+  }
 }
 
 const workflow::InternalLink* GroupedService::internal_feed(const std::string& member,
@@ -69,11 +74,9 @@ Inputs GroupedService::member_inputs(const Member& member, const Inputs& externa
       // Wrap the intermediate value as a token; lineage for intermediate
       // results inside a group is tracked at the group level by the enactor,
       // so a synthetic leaf is sufficient here.
-      inputs.emplace(port,
-                     data::Token(value_it->second.payload, value_it->second.repr,
-                                 invocation_index,
-                                 data::Provenance::source(
-                                     id() + "." + link->from_member + "." + link->from_port, 0)));
+      const auto leaf = static_cast<std::size_t>(link - internal_links_.data());
+      inputs.emplace(port, data::Token(value_it->second.payload, value_it->second.repr,
+                                       invocation_index, internal_leaves_[leaf]));
     } else {
       const auto it = external.find(member.name + "/" + port);
       MOTEUR_REQUIRE(it != external.end(), EnactmentError,

@@ -56,6 +56,10 @@ class GroupedService : public Service {
 
   std::vector<Member> members_;
   std::vector<workflow::InternalLink> internal_links_;
+  /// Per internal link, the synthetic provenance leaf of the value it
+  /// carries ("<group>.<member>.<port>"[0]); built once, shared by every
+  /// invocation.
+  std::vector<data::Provenance::Ptr> internal_leaves_;
 };
 
 }  // namespace moteur::services

@@ -1,6 +1,8 @@
 #include "workflow/iteration.hpp"
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "util/error.hpp"
 
@@ -21,10 +23,40 @@ std::size_t IterationBuffer::port_index(const std::string& port) const {
   return static_cast<std::size_t>(it - ports_.begin());
 }
 
-void IterationBuffer::check_causality(const std::vector<data::Token>& tokens) {
-  // Two tokens matched into one tuple must agree on the lineage of every
-  // workflow source they share: matching result-of(D0) with result-of(D1)
-  // is exactly the wrong-dot-product failure of §4.1.
+namespace {
+
+using Sources = data::Provenance::Sources;
+
+/// Whether two source summaries hold the same items for every source they
+/// share: one merge walk over the two sorted lists. Interned names make
+/// "same source" a pointer comparison.
+bool compatible(const Sources& a, const Sources& b) {
+  if (&a == &b) return true;
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    const std::string* name_a = i->source;
+    const std::string* name_b = j->source;
+    if (name_a != name_b) {
+      if (*name_a < *name_b) {
+        while (i != a.end() && i->source == name_a) ++i;
+      } else {
+        while (j != b.end() && j->source == name_b) ++j;
+      }
+      continue;
+    }
+    for (; i != a.end() && i->source == name_a; ++i, ++j) {
+      if (j == b.end() || j->source != name_a || j->index != i->index) return false;
+    }
+    if (j != b.end() && j->source == name_a) return false;
+  }
+  return true;
+}
+
+/// The causality check's reference form: fold every token's lineage into
+/// one map and throw at the first source two tokens disagree on. Only runs
+/// once the pairwise walk has found a disagreement, to word the error.
+void report_causality_violation(const std::vector<data::Token>& tokens) {
   std::map<std::string, std::set<std::size_t>> combined;
   for (const auto& token : tokens) {
     for (const auto& [source, indices] : token.provenance()->source_indices()) {
@@ -44,10 +76,26 @@ void IterationBuffer::check_causality(const std::vector<data::Token>& tokens) {
   }
 }
 
-void IterationBuffer::push(const std::string& port, data::Token token) {
-  const std::size_t slot = port_index(port);
+}  // namespace
+
+void IterationBuffer::check_causality(const std::vector<data::Token>& tokens) {
+  // Two tokens matched into one tuple must agree on the lineage of every
+  // workflow source they share: matching result-of(D0) with result-of(D1)
+  // is exactly the wrong-dot-product failure of §4.1.
+  for (std::size_t t = 1; t < tokens.size(); ++t) {
+    const Sources& later = tokens[t].provenance()->sources();
+    for (std::size_t u = 0; u < t; ++u) {
+      if (!compatible(tokens[u].provenance()->sources(), later)) {
+        report_causality_violation(tokens);
+        return;
+      }
+    }
+  }
+}
+
+void IterationBuffer::push(std::size_t slot, data::Token token) {
   MOTEUR_REQUIRE(!closed_[slot], EnactmentError,
-                 "push on closed port '" + port + "'");
+                 "push on closed port '" + ports_[slot] + "'");
   if (strategy_ == IterationStrategy::kDot) {
     push_dot(slot, std::move(token));
   } else {
@@ -56,22 +104,26 @@ void IterationBuffer::push(const std::string& port, data::Token token) {
 }
 
 void IterationBuffer::push_dot(std::size_t slot, data::Token token) {
-  Partial& partial = partial_[token.indices()];
-  if (partial.tokens.empty()) {
-    partial.tokens.resize(ports_.size());
-    partial.present.resize(ports_.size(), false);
+  if (ports_.size() == 1) {
+    // A one-port dot completes on every token: nothing to pair or check.
+    data::IndexVector index = token.indices();
+    std::vector<data::Token> tokens;
+    tokens.push_back(std::move(token));
+    ready_.push_back(Tuple{std::move(tokens), std::move(index)});
+    ++emitted_;
+    return;
   }
-  MOTEUR_REQUIRE(!partial.present[slot], EnactmentError,
+  const auto it = partial_.try_emplace(token.indices()).first;
+  Partial& partial = it->second;
+  if (partial.tokens.empty()) partial.tokens.resize(ports_.size());
+  MOTEUR_REQUIRE(!partial.tokens[slot], EnactmentError,
                  "duplicate token with index " + data::to_string(token.indices()) +
                      " on port '" + ports_[slot] + "'");
-  const data::IndexVector index = token.indices();
   partial.tokens[slot] = std::move(token);
-  partial.present[slot] = true;
-  ++partial.count;
-  if (partial.count == ports_.size()) {
+  if (++partial.count == ports_.size()) {
     check_causality(partial.tokens);
-    ready_.push_back(Tuple{std::move(partial.tokens), index});
-    partial_.erase(index);
+    auto node = partial_.extract(it);
+    ready_.push_back(Tuple{std::move(node.mapped().tokens), std::move(node.key())});
     ++emitted_;
   }
 }
@@ -109,22 +161,21 @@ void IterationBuffer::push_cross(std::size_t slot, data::Token token) {
   retained_[slot].push_back(std::move(token));
 }
 
-void IterationBuffer::close(const std::string& port) {
-  closed_[port_index(port)] = true;
-}
-
-bool IterationBuffer::is_closed(const std::string& port) const {
-  return closed_[port_index(port)];
-}
-
-bool IterationBuffer::all_closed() const {
-  return std::all_of(closed_.begin(), closed_.end(), [](bool c) { return c; });
+void IterationBuffer::close(std::size_t slot) {
+  if (closed_[slot]) return;
+  closed_[slot] = true;
+  ++closed_count_;
 }
 
 std::vector<IterationBuffer::Tuple> IterationBuffer::drain_ready() {
   std::vector<Tuple> out;
   out.swap(ready_);
   return out;
+}
+
+void IterationBuffer::drain_ready(std::vector<Tuple>& out) {
+  out.clear();
+  out.swap(ready_);
 }
 
 std::size_t IterationBuffer::pending_tokens() const {

@@ -32,19 +32,31 @@ class IterationBuffer {
     data::IndexVector index;          // iteration index of the firing
   };
 
-  /// Feed one token; any tuples it completes become ready.
+  /// Index of `port` in ports(); throws EnactmentError for an unknown port.
+  std::size_t port_index(const std::string& port) const;
+
+  /// Feed one token to the port at `slot` (its index in ports()); any tuples
+  /// it completes become ready.
   /// Throws EnactmentError if two matched tokens carry contradictory
   /// provenance (same source, different item index) — the §4.1 causality
   /// check — or if a duplicate index arrives on a port under dot strategy.
-  void push(const std::string& port, data::Token token);
+  void push(std::size_t slot, data::Token token);
+  void push(const std::string& port, data::Token token) {
+    push(port_index(port), std::move(token));
+  }
 
   /// Mark a port's stream complete: no further push on it.
-  void close(const std::string& port);
-  bool is_closed(const std::string& port) const;
-  bool all_closed() const;
+  void close(std::size_t slot);
+  void close(const std::string& port) { close(port_index(port)); }
+  bool is_closed(std::size_t slot) const { return closed_[slot]; }
+  bool is_closed(const std::string& port) const { return is_closed(port_index(port)); }
+  bool all_closed() const { return closed_count_ == ports_.size(); }
 
   /// Take every tuple completed since the last drain (FIFO by completion).
   std::vector<Tuple> drain_ready();
+  /// Same, into `out` (its old contents are dropped). The two vectors trade
+  /// storage, so a caller that keeps `out` around drains without allocating.
+  void drain_ready(std::vector<Tuple>& out);
 
   bool has_ready() const { return !ready_.empty(); }
 
@@ -59,7 +71,6 @@ class IterationBuffer {
   IterationStrategy strategy() const { return strategy_; }
 
  private:
-  std::size_t port_index(const std::string& port) const;
   void push_dot(std::size_t slot, data::Token token);
   void push_cross(std::size_t slot, data::Token token);
   static void check_causality(const std::vector<data::Token>& tokens);
@@ -67,11 +78,12 @@ class IterationBuffer {
   IterationStrategy strategy_;
   std::vector<std::string> ports_;
   std::vector<bool> closed_;
+  std::size_t closed_count_ = 0;
 
-  // Dot: partial tuples keyed by index vector.
+  // Dot: partial tuples keyed by index vector; a slot not yet filled holds
+  // an empty placeholder token.
   struct Partial {
     std::vector<data::Token> tokens;
-    std::vector<bool> present;
     std::size_t count = 0;
   };
   std::map<data::IndexVector, Partial> partial_;

@@ -1,6 +1,7 @@
 #include "workflow/iteration_tree.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "util/error.hpp"
@@ -79,29 +80,31 @@ namespace {
 struct CompositeGroup {
   std::vector<data::Token> members;
 };
+using GroupPtr = std::shared_ptr<const CompositeGroup>;
 
-std::vector<data::Token> flatten(const data::Token& token) {
-  if (token.holds<std::shared_ptr<const CompositeGroup>>()) {
-    return token.as<std::shared_ptr<const CompositeGroup>>()->members;
+/// Append the leaf tokens `token` stands for: its group's members for an
+/// intermediate token, else the token itself.
+void append_leaves(std::vector<data::Token>& out, const data::Token& token) {
+  if (const GroupPtr* group = std::any_cast<GroupPtr>(&token.payload())) {
+    out.insert(out.end(), (*group)->members.begin(), (*group)->members.end());
+  } else {
+    out.push_back(token);
   }
-  return {token};
 }
 
 }  // namespace
 
 struct CompositeIterationBuffer::Stage {
-  IterationNode::Kind kind;
-  std::vector<const IterationNode*> children;  // aligned with slot names
   IterationBuffer buffer;
   Stage* parent = nullptr;
-  std::string parent_slot;
+  std::size_t parent_slot = 0;
+  /// Whether any slot is fed by a child stage (its tuples then hold
+  /// intermediate tokens that must be flattened).
+  bool has_child_stages = false;
 
-  Stage(IterationNode::Kind k, std::vector<const IterationNode*> kids,
-        std::vector<std::string> slots)
-      : kind(k),
-        children(std::move(kids)),
-        buffer(k == IterationNode::Kind::kDot ? IterationStrategy::kDot
-                                              : IterationStrategy::kCross,
+  Stage(IterationNode::Kind kind, std::vector<std::string> slots)
+      : buffer(kind == IterationNode::Kind::kDot ? IterationStrategy::kDot
+                                                 : IterationStrategy::kCross,
                std::move(slots)) {}
 };
 
@@ -111,19 +114,27 @@ CompositeIterationBuffer::CompositeIterationBuffer(IterationNode tree)
     : tree_(std::move(tree)) {
   tree_.validate();
   ports_ = tree_.ports();
-  for (const auto& port : ports_) closed_[port] = false;
+  leaf_routes_.resize(ports_.size());
+  closed_.assign(ports_.size(), false);
   MOTEUR_REQUIRE(tree_.kind != IterationNode::Kind::kPort, GraphError,
                  "iteration tree root must be a combinator");
   root_ = build(tree_);
 }
 
+std::size_t CompositeIterationBuffer::port_index(const std::string& port) const {
+  const auto it = std::find(ports_.begin(), ports_.end(), port);
+  MOTEUR_REQUIRE(it != ports_.end(), EnactmentError,
+                 "iteration tree has no port '" + port + "'");
+  return static_cast<std::size_t>(it - ports_.begin());
+}
+
 CompositeIterationBuffer::Stage* CompositeIterationBuffer::build(
     const IterationNode& node) {
+  // Slot names only label the stage's own error messages; routing is by
+  // slot index.
   std::vector<std::string> slots;
-  std::vector<const IterationNode*> kids;
   for (std::size_t i = 0; i < node.children.size(); ++i) {
     slots.push_back("c" + std::to_string(i));
-    kids.push_back(&node.children[i]);
   }
   // Children first, so stages_ is in bottom-up (pump) order.
   std::vector<Stage*> child_stages(node.children.size(), nullptr);
@@ -132,25 +143,25 @@ CompositeIterationBuffer::Stage* CompositeIterationBuffer::build(
       child_stages[i] = build(node.children[i]);
     }
   }
-  stages_.push_back(std::make_unique<Stage>(node.kind, std::move(kids), slots));
+  stages_.push_back(std::make_unique<Stage>(node.kind, std::move(slots)));
   Stage* stage = stages_.back().get();
   for (std::size_t i = 0; i < node.children.size(); ++i) {
     if (node.children[i].kind == IterationNode::Kind::kPort) {
-      leaf_routes_.emplace(node.children[i].port, std::make_pair(stage, slots[i]));
+      leaf_routes_[port_index(node.children[i].port)] = LeafRoute{stage, i};
     } else {
       child_stages[i]->parent = stage;
-      child_stages[i]->parent_slot = slots[i];
+      child_stages[i]->parent_slot = i;
+      stage->has_child_stages = true;
     }
   }
   return stage;
 }
 
-void CompositeIterationBuffer::push(const std::string& port, data::Token token) {
-  const auto route = leaf_routes_.find(port);
-  MOTEUR_REQUIRE(route != leaf_routes_.end(), EnactmentError,
-                 "iteration tree has no port '" + port + "'");
-  MOTEUR_REQUIRE(!closed_.at(port), EnactmentError, "push on closed port '" + port + "'");
-  route->second.first->buffer.push(route->second.second, std::move(token));
+void CompositeIterationBuffer::push(std::size_t leaf, data::Token token) {
+  MOTEUR_REQUIRE(!closed_[leaf], EnactmentError,
+                 "push on closed port '" + ports_[leaf] + "'");
+  const LeafRoute& route = leaf_routes_[leaf];
+  route.stage->buffer.push(route.slot, std::move(token));
   pump();
 }
 
@@ -161,31 +172,27 @@ void CompositeIterationBuffer::pump() {
   while (progress) {
     progress = false;
     for (auto& stage : stages_) {
-      for (auto& tuple : stage->buffer.drain_ready()) {
-        progress = true;
-        if (stage.get() == root_) {
-          Tuple flat;
-          flat.index = tuple.index;
-          for (const auto& member : tuple.tokens) {
-            const auto leaves = flatten(member);
-            flat.tokens.insert(flat.tokens.end(), leaves.begin(), leaves.end());
-          }
-          ready_.push_back(std::move(flat));
+      if (!stage->buffer.has_ready()) continue;
+      progress = true;
+      stage->buffer.drain_ready(drained_);
+      for (auto& tuple : drained_) {
+        if (!stage->has_child_stages && stage.get() == root_) {
+          ready_.push_back(std::move(tuple));  // already the leaf tokens
           continue;
         }
-        auto group = std::make_shared<const CompositeGroup>([&] {
-          CompositeGroup g;
-          for (const auto& member : tuple.tokens) {
-            const auto leaves = flatten(member);
-            g.members.insert(g.members.end(), leaves.begin(), leaves.end());
-          }
-          return g;
-        }());
-        const data::Token composite = data::Token::derived(
-            "iteration", "group", tuple.tokens, tuple.index,
-            std::shared_ptr<const CompositeGroup>(group),
-            "group" + data::to_string(tuple.index));
-        stage->parent->buffer.push(stage->parent_slot, composite);
+        std::vector<data::Token> leaves;
+        for (const auto& member : tuple.tokens) append_leaves(leaves, member);
+        if (stage.get() == root_) {
+          ready_.push_back(Tuple{std::move(leaves), std::move(tuple.index)});
+          continue;
+        }
+        GroupPtr group = std::make_shared<const CompositeGroup>(
+            CompositeGroup{std::move(leaves)});
+        std::string repr = "group" + data::to_string(tuple.index);
+        data::Token composite = data::Token::derived(
+            "iteration", "group", tuple.tokens, std::move(tuple.index), std::move(group),
+            std::move(repr));
+        stage->parent->buffer.push(stage->parent_slot, std::move(composite));
       }
     }
   }
@@ -202,32 +209,24 @@ void CompositeIterationBuffer::pump() {
   }
 }
 
-void CompositeIterationBuffer::close(const std::string& port) {
-  const auto route = leaf_routes_.find(port);
-  MOTEUR_REQUIRE(route != leaf_routes_.end(), EnactmentError,
-                 "iteration tree has no port '" + port + "'");
-  if (closed_.at(port)) return;
-  closed_[port] = true;
-  route->second.first->buffer.close(route->second.second);
+void CompositeIterationBuffer::close(std::size_t leaf) {
+  if (closed_[leaf]) return;
+  closed_[leaf] = true;
+  ++closed_count_;
+  const LeafRoute& route = leaf_routes_[leaf];
+  route.stage->buffer.close(route.slot);
   pump();
-}
-
-bool CompositeIterationBuffer::is_closed(const std::string& port) const {
-  const auto it = closed_.find(port);
-  MOTEUR_REQUIRE(it != closed_.end(), EnactmentError,
-                 "iteration tree has no port '" + port + "'");
-  return it->second;
-}
-
-bool CompositeIterationBuffer::all_closed() const {
-  return std::all_of(closed_.begin(), closed_.end(),
-                     [](const auto& entry) { return entry.second; });
 }
 
 std::vector<CompositeIterationBuffer::Tuple> CompositeIterationBuffer::drain_ready() {
   std::vector<Tuple> out;
   out.swap(ready_);
   return out;
+}
+
+void CompositeIterationBuffer::drain_ready_into(std::deque<Tuple>& out) {
+  std::move(ready_.begin(), ready_.end(), std::back_inserter(out));
+  ready_.clear();
 }
 
 bool CompositeIterationBuffer::has_ready() const { return !ready_.empty(); }

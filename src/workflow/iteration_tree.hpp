@@ -1,5 +1,6 @@
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,11 +49,23 @@ class CompositeIterationBuffer {
 
   using Tuple = IterationBuffer::Tuple;
 
-  void push(const std::string& port, data::Token token);
-  void close(const std::string& port);
-  bool is_closed(const std::string& port) const;
-  bool all_closed() const;
+  /// Index of `port` in ports() (the tree's leaves, left to right): the key
+  /// the index-taking calls below use. Throws EnactmentError when the tree
+  /// has no such port.
+  std::size_t port_index(const std::string& port) const;
+
+  void push(std::size_t leaf, data::Token token);
+  void push(const std::string& port, data::Token token) {
+    push(port_index(port), std::move(token));
+  }
+  void close(std::size_t leaf);
+  void close(const std::string& port) { close(port_index(port)); }
+  bool is_closed(std::size_t leaf) const { return closed_[leaf]; }
+  bool is_closed(const std::string& port) const { return is_closed(port_index(port)); }
+  bool all_closed() const { return closed_count_ == ports_.size(); }
   std::vector<Tuple> drain_ready();
+  /// Move every firing tuple onto the end of `out`.
+  void drain_ready_into(std::deque<Tuple>& out);
   bool has_ready() const;
   std::size_t pending_tokens() const;
 
@@ -61,15 +74,21 @@ class CompositeIterationBuffer {
 
  private:
   struct Stage;  // one combinator level
+  /// Where a leaf's tokens enter: a stage and its slot.
+  struct LeafRoute {
+    Stage* stage = nullptr;
+    std::size_t slot = 0;
+  };
 
   IterationNode tree_;
   std::vector<std::string> ports_;
   std::vector<std::unique_ptr<Stage>> stages_;  // topological, root last
   Stage* root_ = nullptr;
-  /// port -> (stage, slot) routing for leaves.
-  std::map<std::string, std::pair<Stage*, std::string>> leaf_routes_;
-  std::map<std::string, bool> closed_;
+  std::vector<LeafRoute> leaf_routes_;  // per leaf, in ports() order
+  std::vector<bool> closed_;            // per leaf
+  std::size_t closed_count_ = 0;
   std::vector<Tuple> ready_;
+  std::vector<Tuple> drained_;  // pump()'s per-stage scratch, kept for reuse
 
   Stage* build(const IterationNode& node);
   void pump();

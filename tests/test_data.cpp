@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "alloc_count.hpp"
 #include "data/dataset.hpp"
 #include "data/provenance.hpp"
 #include "data/token.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "workflow/iteration.hpp"
 
 namespace moteur::data {
 namespace {
@@ -76,6 +86,179 @@ TEST(Token, MissingPayloadThrowsWithIdentity) {
   const Token token = Token::from_source("img", 0, {}, "x");
   EXPECT_FALSE(token.has_payload());
   EXPECT_THROW(token.as<int>(), EnactmentError);
+}
+
+TEST(Token, CopyAllocatesNothing) {
+  const Token a = Token::from_source("A", 0, std::string(64, 'x'), std::string(64, 'y'));
+  const Token b = Token::from_source("B", 0, 1, "1");
+  const Token out = Token::derived("P", "o", {a, b}, {0}, std::string(100, 'z'),
+                                   std::string(100, 'r'), 7);
+  const std::size_t before = allocation_count();
+  bool same = false;
+  {
+    Token copy = out;
+    Token second(copy);
+    Token assigned;
+    assigned = second;
+    const Token moved = std::move(copy);
+    same = &assigned.repr() == &out.repr() && &moved.payload() == &out.payload() &&
+           assigned.digest() == 7;
+  }
+  const std::size_t after = allocation_count();
+  EXPECT_EQ(after, before);
+  EXPECT_TRUE(same);  // copies share the one body
+}
+
+TEST(Token, DefaultConstructedIsEmptyAndAllocatesNothing) {
+  const std::size_t before = allocation_count();
+  std::vector<Token> placeholders;
+  placeholders.reserve(3);
+  const std::size_t reserved = allocation_count();
+  placeholders.resize(3);
+  const Token& token = placeholders[1];
+  const bool empty = !token && !token.has_payload() && !token.holds<int>() &&
+                     token.repr().empty() && token.indices().empty() &&
+                     token.provenance() == nullptr && token.digest() == 0 &&
+                     token.ref() == nullptr && !token.poisoned() &&
+                     token.error() == nullptr;
+  const std::size_t after = allocation_count();
+  EXPECT_EQ(reserved, before + 1);  // the vector's own storage
+  EXPECT_EQ(after, reserved);
+  EXPECT_TRUE(empty);
+  EXPECT_THROW(token.as<int>(), EnactmentError);
+  EXPECT_THROW(token.id(), InternalError);
+  EXPECT_TRUE(static_cast<bool>(Token::from_source("A", 0, 1, "1")));
+}
+
+// ---------------------------------------------------------------------------
+// Source summaries against the recursive walk they replaced
+// ---------------------------------------------------------------------------
+
+/// The tree walk every lineage query used to make, kept as the reference.
+std::map<std::string, std::set<std::size_t>> walk_source_indices(const Provenance& root) {
+  std::map<std::string, std::set<std::size_t>> out;
+  std::function<void(const Provenance&)> walk = [&](const Provenance& node) {
+    if (node.is_source()) {
+      out[node.producer()].insert(node.source_index());
+      return;
+    }
+    for (const auto& input : node.inputs()) walk(*input);
+  };
+  walk(root);
+  return out;
+}
+
+/// Seeded random provenance DAG: leaves over a few sources (names that are
+/// prefixes of one another included), processing nodes over shared
+/// subtrees, cross-product nodes pairing different items of one source, and
+/// wide barrier aggregates.
+std::vector<Provenance::Ptr> random_dag(std::uint64_t seed) {
+  static const char* const kSources[] = {"a", "ab", "b", "ref", "referenceImage"};
+  Rng rng(seed);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::vector<Provenance::Ptr> pool;
+  const auto leaf = [&] {
+    return Provenance::source(kSources[pick(5)], pick(6));
+  };
+  for (int i = 0; i < 10; ++i) pool.push_back(leaf());
+  for (int step = 0; step < 80; ++step) {
+    std::vector<Provenance::Ptr> inputs;
+    switch (pick(4)) {
+      case 0:  // a processing over one to three earlier results
+      case 1:
+        for (std::size_t k = 0, n = 1 + pick(3); k < n; ++k) {
+          inputs.push_back(pool[pick(pool.size())]);
+        }
+        break;
+      case 2: {  // cross product: several items of one source
+        const auto& base = pool[pick(pool.size())];
+        inputs.push_back(base);
+        const auto& first = base->sources().front();
+        inputs.push_back(Provenance::source(*first.source, first.index + 1 + pick(3)));
+        break;
+      }
+      default:  // barrier aggregate over a wide slice of the pool
+        for (std::size_t k = 0, n = 3 + pick(12); k < n; ++k) {
+          inputs.push_back(pool[pick(pool.size())]);
+        }
+        break;
+    }
+    pool.push_back(Provenance::derived("P" + std::to_string(step), "o", inputs));
+  }
+  return pool;
+}
+
+TEST(SourceSummary, MatchesTheRecursiveWalkOnRandomDags) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (const auto& node : random_dag(seed)) {
+      ASSERT_EQ(node->source_indices(), walk_source_indices(*node)) << node->key();
+      const auto& list = node->sources();
+      const auto not_increasing = [](const Provenance::SourceItem& x,
+                                     const Provenance::SourceItem& y) {
+        return !Provenance::source_less(x, y);
+      };
+      EXPECT_EQ(std::adjacent_find(list.begin(), list.end(), not_increasing), list.end())
+          << "summary not strictly sorted: " << node->key();
+    }
+  }
+}
+
+/// The dot buffer's causality check as it was written against the walk:
+/// fold every token's lineage into one map and report the first source two
+/// tokens disagree on ("" when the tuple is consistent).
+std::string walk_causality_error(const std::vector<Token>& tokens) {
+  std::map<std::string, std::set<std::size_t>> combined;
+  for (const auto& token : tokens) {
+    for (const auto& [source, indices] : walk_source_indices(*token.provenance())) {
+      const auto it = combined.find(source);
+      if (it == combined.end()) {
+        combined.emplace(source, indices);
+      } else if (it->second != indices) {
+        return "enactment error: causality violation: tuple mixes items " +
+               to_string(IndexVector(indices.begin(), indices.end())) + " and " +
+               to_string(IndexVector(it->second.begin(), it->second.end())) +
+               " of source '" + source + "'";
+      }
+    }
+  }
+  return "";
+}
+
+TEST(SourceSummary, CausalityCheckMatchesTheWalkOnRandomTuples) {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto pool = random_dag(seed);
+    Rng rng(seed, "tuples");
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t width = 2 + static_cast<std::size_t>(rng.uniform_int(0, 2));
+      std::vector<std::string> ports;
+      std::vector<Token> tokens;
+      for (std::size_t p = 0; p < width; ++p) {
+        ports.push_back("p" + std::to_string(p));
+        // Leaves of the DAG's first sources make agreeing tuples likely.
+        const std::size_t max = rng.bernoulli(0.5) ? 9 : pool.size() - 1;
+        tokens.emplace_back(1, "1", IndexVector{0},
+                            pool[static_cast<std::size_t>(
+                                rng.uniform_int(0, static_cast<std::int64_t>(max)))]);
+      }
+      const std::string expected = walk_causality_error(tokens);
+      workflow::IterationBuffer buffer(workflow::IterationStrategy::kDot, ports);
+      std::string actual;
+      try {
+        for (std::size_t p = 0; p < width; ++p) buffer.push(p, tokens[p]);
+      } catch (const EnactmentError& e) {
+        actual = e.what();
+      }
+      ASSERT_EQ(actual, expected) << "seed " << seed << " trial " << trial;
+      ++(expected.empty() ? accepted : rejected);
+    }
+  }
+  // Both outcomes must actually be exercised.
+  EXPECT_GT(accepted, 50u);
+  EXPECT_GT(rejected, 50u);
 }
 
 TEST(IndexVector, ToString) {

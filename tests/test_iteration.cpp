@@ -81,7 +81,14 @@ TEST(DotProduct, CausalityViolationDetected) {
   IterationBuffer buffer(IterationStrategy::kDot, {"a", "b"});
   buffer.push("a", tok("A", 0));
   const Token bogus = Token::derived("P", "o", {tok("A", 1)}, IndexVector{0}, 7, "7");
-  EXPECT_THROW(buffer.push("b", bogus), EnactmentError);
+  try {
+    buffer.push("b", bogus);
+    FAIL() << "causality violation not detected";
+  } catch (const EnactmentError& e) {
+    EXPECT_STREQ(e.what(),
+                 "enactment error: causality violation: tuple mixes items [1] and [0] "
+                 "of source 'A'");
+  }
 }
 
 TEST(DotProduct, ConsistentLineageAccepted) {

@@ -328,7 +328,7 @@ echo "scale smoke OK"
 # admission/sharding/defaults groups; the deprecated accessor aliases have
 # been deleted outright, so nothing in the repo may mention them at all.
 echo "== deprecated-alias guard: no in-repo use of flat RunServiceConfig fields =="
-if grep -rnE 'max_active_runs|max_inflight_submissions|default_policy' \
+if grep -rnE '\b(max_active_runs|max_inflight_submissions|default_policy)\b' \
     --include='*.cpp' --include='*.hpp' --include='*.md' \
     --exclude-dir=build --exclude-dir=build-tsan --exclude-dir=build-asan \
     src tools tests bench docs examples; then
