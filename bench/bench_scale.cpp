@@ -19,17 +19,16 @@
 //   bench_scale [--runs N] [--items M] [--stages S] [--threads T]
 //               [--max-active A] [--shards 1,2,4] [--out BENCH_scale.json]
 //               [--assert-speedup]
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "enactor/run_request.hpp"
 #include "enactor/threaded_backend.hpp"
 #include "service/run_service.hpp"
@@ -39,24 +38,11 @@
 #include "util/strings.hpp"
 #include "workflow/graph.hpp"
 
-// Global heap-allocation counter. The enactment core is supposed to stay off
-// the allocator on its hot paths (dispatch, completion, closure passes), so the
+// Heap allocations are counted by the global operator new in alloc_count.cpp
+// (linked in by the build). The enactment core is supposed to stay off the
+// allocator on its hot paths (dispatch, completion, closure passes), so the
 // bench reports allocations per invocation alongside throughput — a regression
 // here shows up even when wall time hides behind thread scheduling noise.
-static std::atomic<std::uint64_t> g_alloc_count{0};
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -147,10 +133,10 @@ Scenario run_scenario(const Options& opt, std::size_t shards) {
   }
 
   const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = allocation_count();
   auto handles = runs.submit_all(std::move(requests));
   runs.wait_idle();
-  const std::uint64_t allocs_after = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_after = allocation_count();
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 

@@ -111,10 +111,10 @@ struct RunService::Impl {
   std::unique_ptr<obs::TelemetryHub> hub;
   PinPolicy pin;
 
-  // Submission-side bookkeeping (id allocation, shutdown flag).
+  // Submission-side bookkeeping (id allocation, shutdown flag). The
+  // service keeps no reference to a record past its run: see core.live.
   std::mutex submit_mu;
   bool stop = false;
-  std::vector<std::shared_ptr<RunRecord>> all;  // every record, for shutdown
   std::size_t next_run = 1;
   std::set<std::string> used_ids;
 
@@ -274,15 +274,13 @@ std::vector<RunHandle> RunService::submit_all(std::vector<enactor::RunRequest> r
       rec->shard = shard;
       EngineShard* owner = im.shards[shard].get();
       rec->poke = [owner] { owner->wake(); };
-      per_shard[shard].push_back(rec);
-      im.all.push_back(rec);
       handles.push_back(RunHandle(rec));
+      per_shard[shard].push_back(std::move(rec));
     }
-  }
-  // Count the batch live before any shard can retire a member of it.
-  {
-    std::lock_guard<std::mutex> lock(im.core.live_mu);
-    im.core.live += handles.size();
+    // Count the batch live before any shard can retire a member of it, and
+    // before a shutdown() waiting on submit_mu takes its snapshot.
+    std::lock_guard<std::mutex> live_lock(im.core.live_mu);
+    for (const auto& batch : per_shard) im.core.live.insert(batch.begin(), batch.end());
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (!per_shard[i].empty()) im.shards[i]->enqueue(std::move(per_shard[i]));
@@ -335,7 +333,7 @@ std::vector<ShardStats> RunService::shard_stats() const {
 void RunService::wait_idle() {
   Impl& im = *impl_;
   std::unique_lock<std::mutex> lock(im.core.live_mu);
-  im.core.idle_cv.wait(lock, [&] { return im.core.live == 0; });
+  im.core.idle_cv.wait(lock, [&] { return im.core.live.empty(); });
 }
 
 std::size_t RunService::wait_any(std::span<const RunHandle> handles) {
@@ -363,11 +361,13 @@ std::size_t RunService::wait_any(std::span<const RunHandle> handles) {
 
 void RunService::shutdown() {
   Impl& im = *impl_;
+  // Only live runs need cancelling; terminal ones belong to their handles.
   std::vector<std::shared_ptr<RunRecord>> records;
   {
     std::lock_guard<std::mutex> lock(im.submit_mu);
     im.stop = true;
-    records = im.all;
+    std::lock_guard<std::mutex> live_lock(im.core.live_mu);
+    records.assign(im.core.live.begin(), im.core.live.end());
   }
   for (const auto& rec : records) {
     std::lock_guard<std::mutex> lock(rec->mu);

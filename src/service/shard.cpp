@@ -143,10 +143,10 @@ void ServiceCore::count_terminal(RunState state) {
       .inc();
 }
 
-void ServiceCore::run_finished() {
+void ServiceCore::run_finished(const std::shared_ptr<RunRecord>& rec) {
   {
     std::lock_guard<std::mutex> lock(live_mu);
-    --live;
+    live.erase(rec);
   }
   idle_cv.notify_all();
   terminal_cv.notify_all();
@@ -318,6 +318,11 @@ void EngineShard::finish_record(const RunRecordPtr& rec, RunState state,
       MOTEUR_LOG(kWarn, "service") << "cannot write flight-recorder dump '" << path << "'";
     }
   }
+  // Release what only the shard needed (the request's workflow copy, inputs
+  // and resolver; the gated view; the engine is gone on every path by now),
+  // so a record that outlives its run holds just what a RunHandle reads.
+  rec->gated.reset();
+  rec->request = enactor::RunRequest{};
   const std::uint64_t invocations = result.invocations();
   {
     std::lock_guard<std::mutex> lock(rec->mu);
@@ -341,7 +346,7 @@ void EngineShard::finish_record(const RunRecordPtr& rec, RunState state,
     }
   }
   load_.fetch_sub(1, std::memory_order_relaxed);
-  core_.run_finished();
+  core_.run_finished(rec);
 }
 
 bool EngineShard::admit(const RunRecordPtr& rec) {
@@ -394,7 +399,6 @@ bool EngineShard::admit(const RunRecordPtr& rec) {
     rec->engine.reset();
     gate_->cancel_run(rec->id);
     gate_->deregister_run(rec->id);
-    rec->gated.reset();
     finish_record(rec, RunState::kFailed, {}, e.what());
     return false;
   }
@@ -412,7 +416,6 @@ void EngineShard::retire(const RunRecordPtr& rec, RunState state, std::string er
   rec->engine.reset();
   gate_->cancel_run(rec->id);  // flush any leftovers (no-op when drained)
   gate_->deregister_run(rec->id);
-  rec->gated.reset();
   MOTEUR_LOG(kInfo, "service") << "run '" << rec->id << "' " << to_string(state)
                                << " makespan=" << result.makespan()
                                << "s invocations=" << result.invocations()

@@ -9,9 +9,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "data/invocation_cache.hpp"
@@ -34,10 +34,12 @@ namespace moteur::service {
 
 namespace detail {
 
-/// Shared state of one run: the handle holds one reference, the service
-/// another. The caller-visible fields live behind `mu`; the worker-side
-/// fields (request, engine, gated backend) are touched only by the owning
-/// shard's thread and never through a handle.
+/// Shared state of one run. Every RunHandle to the run holds a reference;
+/// the service holds one only while the run is live (ServiceCore::live), so
+/// a terminal run's record lives exactly as long as its handles. The
+/// caller-visible fields live behind `mu`; the worker-side fields (request,
+/// engine, gated backend) are touched only by the owning shard's thread,
+/// never through a handle, and released at the terminal transition.
 struct RunRecord {
   // Immutable after submit.
   std::string id;
@@ -107,12 +109,14 @@ struct ServiceCore {
   std::atomic<long> queued_total{0};
   std::atomic<long> gate_depth_total{0};
 
-  // Live-run bookkeeping: wait_idle blocks on idle_cv, wait_any on
+  // Live-run bookkeeping: the service's only references to queued and
+  // running runs (shutdown cancels them), entered at submission and left at
+  // the terminal transition. wait_idle blocks on idle_cv, wait_any on
   // terminal_cv; every terminal transition notifies both.
   std::mutex live_mu;
   std::condition_variable idle_cv;
   std::condition_variable terminal_cv;
-  std::size_t live = 0;
+  std::unordered_set<std::shared_ptr<RunRecord>> live;
 
   ServiceCore(enactor::ExecutionBackend& backend_in, services::ServiceRegistry& registry_in,
               RunServiceConfig config_in)
@@ -143,8 +147,9 @@ struct ServiceCore {
   /// Count one terminal run (moteur_service_runs_total{state=...}).
   void count_terminal(RunState state);
 
-  /// One run left the live set: wake wait_idle/wait_any waiters.
-  void run_finished();
+  /// `rec` is terminal: drop it from the live set, then wake
+  /// wait_idle/wait_any waiters.
+  void run_finished(const std::shared_ptr<RunRecord>& rec);
 };
 
 }  // namespace detail

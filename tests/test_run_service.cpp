@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "data/dataset.hpp"
 #include "enactor/enactor.hpp"
 #include "enactor/run_request.hpp"
@@ -476,6 +477,91 @@ TEST(RunService, ShutdownCancelsEverythingAndJoins) {
   for (auto& handle : handles) {
     EXPECT_TRUE(is_terminal(handle.poll())) << handle.id();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Record lifetime: the service holds a run only while it is live
+// ---------------------------------------------------------------------------
+
+// Submits `count` unnamed one-item runs of the "m" chain and drops every
+// handle. Generated ids ("run-<n>") fit std::string's inline buffer, so each
+// costs the service one used_ids node and nothing else once the run is over.
+void submit_and_drop(RunService& service, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    service.submit(make_request("", prefixed_chain("m", 1), 1));
+  }
+}
+
+TEST(RunService, FinishedRunsDoNotAccumulate) {
+  enactor::ThreadedBackend backend(2);
+  services::ServiceRegistry registry;
+  registry.add(sleeping_service("m-p0", std::chrono::milliseconds(0)));
+  RunServiceConfig config;
+  config.sharding.shards = 2;
+  config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
+  RunService service(backend, registry, config);
+  ASSERT_EQ(service.shards(), 2u);
+
+  // Warm-up: queues, gate tables and the live set reach their working size.
+  submit_and_drop(service, 40);
+  service.wait_idle();
+  const std::size_t warm = live_allocation_count();
+
+  constexpr std::size_t kExtraRuns = 200;
+  constexpr std::size_t kSlack = 64;
+  submit_and_drop(service, kExtraRuns);
+  service.wait_idle();
+  // A shard drops its own reference to a run just after counting it
+  // finished; give the workers a moment to get there.
+  const std::size_t bound = warm + kSlack + kExtraRuns;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (live_allocation_count() > bound && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(live_allocation_count(), bound)
+      << "after warm-up the process held " << warm << " blocks";
+}
+
+TEST(RunService, HandleKeepsItsRecordAfterTheServiceDropsIt) {
+  enactor::ThreadedBackend backend(2);
+  services::ServiceRegistry registry;
+  registry.add(sleeping_service("block-p0", std::chrono::milliseconds(20)));
+  registry.add(sleeping_service("kept-p0", std::chrono::milliseconds(0)));
+  registry.add(sleeping_service("m-p0", std::chrono::milliseconds(0)));
+  RunServiceConfig config;
+  config.admission.max_active = 1;  // "kept" queues behind "block"
+  config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
+  auto service = std::make_unique<RunService>(backend, registry, config);
+
+  std::vector<enactor::RunRequest> requests;
+  requests.push_back(make_request("block", prefixed_chain("block", 1), 1));
+  requests.push_back(make_request("kept", prefixed_chain("kept", 1), 4));
+  requests.back().labels = {{"tenant", "a"}};
+  RunHandle kept = service->submit_all(std::move(requests)).back();
+  ASSERT_EQ(kept.wait(), RunState::kFinished);
+
+  const enactor::EnactmentResult* result = &kept.result();
+  const std::size_t sink_items = result->sink_outputs.at("sink").size();
+  const double waited = kept.admission_wait();
+  EXPECT_EQ(sink_items, 4u);
+  EXPECT_GT(waited, 0.0);
+
+  submit_and_drop(*service, 50);
+  service->wait_idle();
+  service->shutdown();
+  service.reset();
+
+  EXPECT_EQ(kept.id(), "kept");
+  EXPECT_EQ(kept.poll(), RunState::kFinished);
+  EXPECT_EQ(kept.wait(), RunState::kFinished);
+  EXPECT_EQ(&kept.result(), result);
+  EXPECT_EQ(kept.result().run_id, "kept");
+  EXPECT_EQ(kept.result().sink_outputs.at("sink").size(), sink_items);
+  EXPECT_EQ(kept.labels(), (std::map<std::string, std::string>{{"tenant", "a"}}));
+  EXPECT_EQ(kept.error(), "");
+  EXPECT_EQ(kept.admission_wait(), waited);
+  kept.cancel();  // a no-op: the run is over and its service is gone
+  EXPECT_EQ(kept.poll(), RunState::kFinished);
 }
 
 }  // namespace

@@ -306,6 +306,54 @@ TEST(ShardedRunService, FourShardsMatchSingleShardRunForRun) {
   EXPECT_EQ(totals(stats4).second, kRuns * kStages * kItems);
 }
 
+TEST(ShardedRunService, ShardCountersSumToHandleTotals) {
+  constexpr std::size_t kBatches = 10, kPerBatch = 20, kStages = 2, kItems = 3;
+  enactor::ThreadedBackend backend(4);
+  services::ServiceRegistry registry;
+  add_chain_services(registry, kStages);
+
+  RunServiceConfig config;
+  config.admission.max_active = 8;
+  config.admission.max_inflight = 16;
+  config.sharding.shards = 4;
+  config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
+  RunService service(backend, registry, config);
+  ASSERT_EQ(service.shards(), 4u);
+
+  // Batches land while earlier ones retire, so the live set keeps churning.
+  std::vector<RunHandle> handles;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    std::vector<enactor::RunRequest> requests;
+    for (std::size_t i = 0; i < kPerBatch; ++i) {
+      enactor::RunRequest request;
+      request.workflow = chain(kStages);
+      request.inputs = items(kItems);
+      requests.push_back(std::move(request));
+    }
+    for (auto& handle : service.submit_all(std::move(requests))) {
+      handles.push_back(std::move(handle));
+    }
+  }
+  service.wait_idle();
+
+  std::uint64_t handle_invocations = 0;
+  for (const auto& handle : handles) {
+    ASSERT_TRUE(is_terminal(handle.poll())) << handle.id();
+    EXPECT_EQ(handle.poll(), RunState::kFinished) << handle.id() << ": " << handle.error();
+    handle_invocations += handle.result().invocations();
+  }
+  std::uint64_t shard_runs = 0, shard_invocations = 0, admitted = 0;
+  for (const auto& stats : service.shard_stats()) {
+    shard_runs += stats.runs;
+    shard_invocations += stats.invocations;
+    admitted += stats.admission_waits.size();
+  }
+  EXPECT_EQ(shard_runs, handles.size());
+  EXPECT_EQ(admitted, handles.size());
+  EXPECT_EQ(shard_invocations, handle_invocations);
+  EXPECT_EQ(handle_invocations, kBatches * kPerBatch * kStages * kItems);
+}
+
 TEST(ShardedRunService, BackendWithoutChannelsClampsToOneShard) {
   sim::Simulator simulator;
   grid::Grid grid(simulator, grid::GridConfig::constant(5.0, 4096, 7));

@@ -311,12 +311,26 @@ TEST(RunServiceTelemetry, AdmissionWaitIsExposedOnTheHandle) {
   config.admission.max_active = 1;  // the second run must wait in line
   config.defaults.policy = enactor::EnactmentPolicy::sp_dp();
   service::RunService service(rig.backend, rig.registry, config);
+  // Hold the shard inside alpha's start until beta's wait has been read:
+  // the simulator enacts alpha in microseconds of wall time, so otherwise
+  // beta may already be admitted when the test thread looks.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  service.add_event_subscriber([released](const obs::RunEvent& event) {
+    if (event.kind == obs::RunEvent::Kind::kRunStarted && event.run_id == "alpha") {
+      released.wait();
+    }
+  });
 
   std::vector<enactor::RunRequest> requests;
   requests.push_back(chain_request("alpha", 4));
   requests.push_back(chain_request("beta", 4));
   auto handles = service.submit_all(std::move(requests));
-  EXPECT_DOUBLE_EQ(handles[1].admission_wait(), 0.0);  // still queued: 0
+  const double queued_wait = handles[1].admission_wait();
+  const service::RunState queued_state = handles[1].poll();
+  release.set_value();
+  EXPECT_EQ(queued_state, service::RunState::kQueued);
+  EXPECT_DOUBLE_EQ(queued_wait, 0.0);  // still queued: 0
   service.wait_idle();
 
   EXPECT_EQ(handles[0].poll(), service::RunState::kFinished);

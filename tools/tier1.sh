@@ -6,12 +6,14 @@
 #                           under -fsanitize=thread and run them
 #                           (ThreadedBackend lane races surface here, in
 #                           the ThreadedStress suite among others)
-#   tools/tier1.sh --asan   additionally rebuild the fault- and sim-labelled
-#                           tests and moteur_cli under
+#   tools/tier1.sh --asan   additionally rebuild the fault-, sim- and
+#                           service-labelled tests and moteur_cli under
 #                           -fsanitize=address,undefined and run them
 #                           (retry/breaker/poisoned-token paths, the DES
-#                           kernel's slot slab and event heap, and the CLI's
-#                           argv parsing through the cli-labelled ctests)
+#                           kernel's slot slab and event heap, run records
+#                           that outlive their service through their
+#                           handles, and the CLI's argv parsing through the
+#                           cli-labelled ctests)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -447,10 +449,12 @@ if [ "${1:-}" = "--asan" ]; then
   echo "== ASan stage: fault-containment tests under -fsanitize=address,undefined =="
   cmake -B build-asan -S . -DMOTEUR_ASAN=ON >/dev/null
   cmake --build build-asan -j --target test_retry test_robustness test_datastore \
-    test_transfer test_sim test_grid moteur_cli
+    test_transfer test_sim test_grid test_run_service test_shard moteur_cli
   (cd build-asan && ctest --output-on-failure -L fault)
   echo "== ASan DES stage: kernel and grid tests under -fsanitize=address,undefined =="
   (cd build-asan && ctest --output-on-failure -L sim)
+  echo "== ASan service stage: run-record lifetime under -fsanitize=address,undefined =="
+  (cd build-asan && ctest --output-on-failure -L service)
   echo "== ASan CLI stage: command lines from outside the program =="
   (cd build-asan && ctest --output-on-failure -L cli)
 fi
